@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     helps = {
         "gen": "generate a family over a seeded universe and print it",
-        "check-jumpfree": "scan all ordered member pairs for a jump-free violation",
+        "check-jumpfree": "decide all ordered pairs, skipping those with no shared x where b(x) > a(x)",
         "check-full": "check the family covers every domain of the universe",
         "check-rr": "classify one function over one cube (input file required)",
         "search": "find the first regressively regular (member, cube) witness",
@@ -424,7 +424,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapacityError as exc:
         print(f"jumpfree: capacity: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"jumpfree: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(text)

@@ -16,13 +16,18 @@ from typing import Iterable, Iterator, Sequence
 KTuple = tuple[int, ...]
 
 
+def is_nat(v: object) -> bool:
+    """Whether v is a nonnegative plain int; bool, float and str never pass."""
+    return type(v) is int and v >= 0
+
+
 def as_ktuple(coords: Sequence[int]) -> KTuple:
     """Validate a coordinate sequence and return it as a plain tuple."""
     t = tuple(coords)
     if not t:
         raise ValueError("a point needs arity k >= 1")
     for c in t:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+        if not is_nat(c):
             raise ValueError(f"coordinates must be nonnegative integers, got {c!r}")
     return t
 
@@ -104,7 +109,7 @@ class Cube:
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValueError("cube needs at least one element")
-        if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in self.elements):
+        if not all(map(is_nat, self.elements)):
             raise ValueError("cube elements must be nonnegative integers")
         if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
             raise ValueError(f"cube elements must be strictly increasing, got {self.elements}")

@@ -23,7 +23,6 @@ from .predicates import (
     Family,
     FiniteFunction,
     RegularityReport,
-    predecessor_set,
     regressive_regularity,
 )
 
@@ -106,23 +105,31 @@ def build_universe(spec: UniverseSpec) -> list[Domain]:
     return list(dict.fromkeys(domains))
 
 
-def _rule_max(dom: frozenset[KTuple], x: KTuple) -> int:
-    return max(x)
+def _rule_max(dom: list[KTuple]) -> dict[KTuple, int]:
+    return {x: max(x) for x in dom}
 
 
-def _rule_min(dom: frozenset[KTuple], x: KTuple) -> int:
-    return min(x)
+def _rule_min(dom: list[KTuple]) -> dict[KTuple, int]:
+    return {x: min(x) for x in dom}
 
 
-def _rule_predmin(dom: frozenset[KTuple], x: KTuple) -> int:
-    # Minimum coordinate seen among x and all points below x's maximum.
-    return min(field_of(predecessor_set(dom, x) | {x}))
+def _rule_predmin(dom: list[KTuple]) -> dict[KTuple, int]:
+    # Minimum coordinate seen among x and all points below x's maximum: one
+    # pass up the levels keeps the running minimum below each, starting
+    # from the largest coordinate, which no min(x) exceeds.
+    floors, floor = {}, max(map(max, dom))
+    for level, group in itertools.groupby(sorted(dom, key=max), key=max):
+        floors[level] = floor
+        floor = min(floor, *map(min, group))
+    return {x: min(floors[max(x)], *x) for x in dom}
 
 
-def _rule_constmin(dom: frozenset[KTuple], x: KTuple) -> int:
-    return min(field_of(dom))
+def _rule_constmin(dom: list[KTuple]) -> dict[KTuple, int]:
+    low = field_of(dom)[0]
+    return {x: low for x in dom}
 
 
+# Each rule maps a sorted, duplicate-free domain to its entries.
 _RULES = {
     "max": _rule_max,
     "min": _rule_min,
@@ -151,8 +158,7 @@ def gen_family(kind: str, universe: list[Domain]) -> Family:
             raise ValueError("universe domains must be nonempty")
         if k is None:
             k = len(dom[0])
-        dom_set = frozenset(dom)
-        entries = {x: rule(dom_set, x) for x in sorted(dom_set)}
+        entries = rule(sorted(frozenset(dom)))
         members.append(FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=entries))
     return Family(k=k, members=tuple(members))
 

@@ -251,3 +251,40 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["found"] is True
+
+
+def _member(entries, k=2):
+    return {"id": "a", "k": k, "entries": entries}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({"k": 2, "members": [_member([[[1, 2], 1.7]])]}, id="float-value"),
+        pytest.param({"k": 2, "members": [_member([[[1, 2], True]])]}, id="bool-value"),
+        pytest.param({"k": 2, "members": [_member([[[1, 2], "1"]])]}, id="str-value"),
+        pytest.param({"k": 2, "members": [_member([[[0, "1"], 0]])]}, id="str-coordinate"),
+        pytest.param({"k": 2, "members": [_member([[[1.0, 2], 1]])]}, id="float-coordinate"),
+        pytest.param(
+            {"k": 2, "members": [_member([[[1, 2], 1], [[1, 2], 2]])]}, id="duplicate-point"
+        ),
+        pytest.param({"k": 2, "members": [_member([[[1, 2], 1]], k="2")]}, id="str-member-k"),
+        pytest.param({"k": 2, "members": [_member([[[1, 2], 1]], k=2.0)]}, id="float-member-k"),
+        pytest.param({"k": "2", "members": [_member([[[1, 2], 1]])]}, id="str-family-k"),
+        pytest.param({"k": True, "members": [_member([[[1], 1]], k=1)]}, id="bool-family-k"),
+        pytest.param({"k": 2, "members": [_member(5)]}, id="entries-not-a-list"),
+        pytest.param(
+            {"k": 2, "members": [_member([[[1, 2], 1.7], [[1, 2], True], [[0, "1"], 0]])]},
+            id="every-former-coercion",
+        ),
+    ],
+)
+def test_malformed_family_document_exits_1(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-jumpfree", "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jumpfree: error:")
+    assert "Traceback" not in captured.err
+
