@@ -32,7 +32,6 @@ from .intsets import (
     ZBijection,
     build_fh,
     classify_interval,
-    fh_equal,
 )
 from .predicates import (
     ClassVerdict,
@@ -51,7 +50,6 @@ from .subsetsum import (
     CapacityError,
     ExperimentReport,
     SubsetCertificate,
-    dp_reachable_sums,
     is_valid_certificate,
     run_corollary_experiment,
     solve_subset_sum,
@@ -83,9 +81,7 @@ __all__ = [
     "build_universe",
     "classify_interval",
     "cubes_in",
-    "dp_reachable_sums",
     "enumerate_order_types",
-    "fh_equal",
     "field_of",
     "find_regressively_regular_witness",
     "gen_family",

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .core import Cube
@@ -33,7 +33,6 @@ from .intsets import (
     GammaTriple,
     IntMultiset,
     build_fh,
-    fh_equal,
 )
 from .predicates import (
     Family,
@@ -150,7 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated interval encoders, e.g. zigzag,zigzagneg,shifted:10",
     )
     common.add_argument("--semantics", choices=SEMANTICS, default=MULTISET)
-    common.add_argument("--method", choices=METHODS, default="dp", help="subset-sum solver")
+    common.add_argument(
+        "--method",
+        choices=METHODS,
+        default="dp",
+        help="subset-sum solver: exhaustive (oracle, at most 24 elements) or dp (bitset)",
+    )
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--input", default=None, help="path to a serialized input file")
 
@@ -175,22 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        k=args.k,
-        p=args.p,
-        grid=args.grid,
-        max_domain=args.max_domain,
-        samples=args.samples,
-        seed=args.seed,
-        cubes=args.cubes,
-        family=args.family,
-        gamma=args.gamma,
-        semantics=args.semantics,
-        method=args.method,
-        format=args.format,
-        input=args.input,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _read_json(path: str):
@@ -322,7 +311,7 @@ def _run_sets(cfg: RunConfig) -> Outcome:
         "semantics": cfg.semantics,
         "F": f_ms.to_json(),
         "H": h_ms.to_json(),
-        "fh_equal": fh_equal(f_ms, h_ms),
+        "fh_equal": f_ms == h_ms,
     }
     return report, None
 

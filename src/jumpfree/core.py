@@ -113,8 +113,8 @@ class Cube:
             raise ValueError("cube elements must be nonnegative integers")
         if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
             raise ValueError(f"cube elements must be strictly increasing, got {self.elements}")
-        if self.k < 1:
-            raise ValueError("cube arity must be >= 1")
+        if not is_nat(self.k) or self.k < 1:
+            raise ValueError(f"cube arity must be an integer >= 1, got {self.k!r}")
 
     @property
     def p(self) -> int:
@@ -137,7 +137,7 @@ class Cube:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Cube":
-        return cls(tuple(int(e) for e in data["elements"]), int(data["k"]))
+        return cls(tuple(data["elements"]), data["k"])
 
 
 def cubes_in(domain: Iterable[KTuple], p: int) -> list[Cube]:

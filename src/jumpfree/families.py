@@ -68,17 +68,6 @@ class UniverseSpec:
             "includeAllCubes": self.include_all_cubes,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "UniverseSpec":
-        return cls(
-            k=int(data["k"]),
-            grid_bound=int(data["gridBound"]),
-            max_domain_size=int(data["maxDomainSize"]),
-            sample_count=int(data["sampleCount"]),
-            seed=int(data["seed"]),
-            include_all_cubes=bool(data["includeAllCubes"]),
-        )
-
 
 def build_universe(spec: UniverseSpec) -> list[Domain]:
     """Materialize the universe described by a spec.

@@ -146,14 +146,14 @@ class IntMultiset:
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "IntMultiset":
         ms = cls()
         for v, m in pairs:
-            ms.add(int(v), int(m))
+            ms.add(v, m)
         return ms
 
     def add(self, value: int, multiplicity: int = 1) -> None:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if type(value) is not int:
             raise ValueError(f"multiset values must be integers, got {value!r}")
-        if multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
+        if type(multiplicity) is not int or multiplicity < 1:
+            raise ValueError(f"multiplicity must be an integer >= 1, got {multiplicity!r}")
         self._counts[value] += multiplicity
 
     def count(self, value: int) -> int:
@@ -263,8 +263,3 @@ def build_fh(
     full = IntMultiset.from_values(sorted(images[0] | images[1] | images[2]))
     partial = IntMultiset.from_values(sorted(images[0] | images[2]))
     return full, partial
-
-
-def fh_equal(first: IntMultiset, second: IntMultiset) -> bool:
-    """Multiset equality: identical support and multiplicities."""
-    return first == second

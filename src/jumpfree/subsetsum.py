@@ -2,17 +2,17 @@
 solvability-agreement experiment.
 
 Convention: the empty subset does not count, otherwise target zero would
-be trivially solvable.  Three methods are provided.  The exhaustive
-enumerator is the oracle; the reachable-sums table handles negative
-values by index offsetting and keeps parent links for certificate
-recovery; meet-in-the-middle enumerates signed half-sums and matches
-negations, preferring the smallest-absolute-value match.  All methods
+be trivially solvable.  Two methods are provided.  The exhaustive
+enumerator is the oracle; the reachable-sums dp keeps one big-int bitset
+per item prefix, offset so that negative sums get nonnegative bit
+indices, and recovers a certificate from the prefixes.  Both methods
 return a certificate, never just a yes/no, so their answers can be
 validated independently of solver internals.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import time
 from collections import Counter
@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .families import Family, WitnessResult, find_regressively_regular_witness
-from .intsets import DEFAULT_GAMMAS, GammaTriple, IntMultiset, build_fh, fh_equal
+from .intsets import DEFAULT_GAMMAS, GammaTriple, IntMultiset, build_fh
 
 EXHAUSTIVE_MAX_TOTAL = 24
 DP_MAX_WEIGHT = 10**7
+DP_MAX_BITS = 2**28
 
-METHODS = ("exhaustive", "dp", "mitm")
+METHODS = ("exhaustive", "dp")
 
 OUTCOME_OK = "ok"
 OUTCOME_NO_WITNESS = "no_witness"
@@ -79,8 +80,6 @@ def solve_subset_sum(ms: IntMultiset, method: str = "dp") -> Optional[SubsetCert
         return _solve_exhaustive(ms)
     if method == "dp":
         return _solve_dp(ms)
-    if method == "mitm":
-        return _solve_mitm(ms)
     raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
@@ -100,110 +99,43 @@ def _solve_exhaustive(ms: IntMultiset) -> Optional[SubsetCertificate]:
     return None
 
 
-def dp_reachable_sums(ms: IntMultiset) -> frozenset[int]:
-    """Every sum attainable by a nonempty sub-multiset, via the dp table."""
-    reached, _, offset = _dp_table(ms)
-    return frozenset(i - offset for i, hit in enumerate(reached) if hit)
-
-
-def _dp_table(ms: IntMultiset) -> tuple[bytearray, list, int]:
-    """Reachable-sums table over [sum of negatives, sum of positives].
-
-    Index = sum + offset.  parents[i] is (previous index or None, item
-    value) recorded when index i first became reachable; walking parents
-    back recovers a sub-multiset, each step consuming one item copy.
-    """
-    neg = sum(v * m for v, m in ms.items() if v < 0)
-    pos = sum(v * m for v, m in ms.items() if v > 0)
-    width = pos - neg + 1
-    offset = -neg
-    reached = bytearray(width)
-    parents: list = [None] * width
-
-    items = [v for v, m in ms.items() for _ in range(m)]
-    for v in items:
-        additions = []
-        i_single = v + offset
-        if not reached[i_single]:
-            additions.append((i_single, None, v))
-        for i, hit in enumerate(reached):
-            if hit:
-                j = i + v
-                if not reached[j]:
-                    additions.append((j, i, v))
-        for j, prev, value in additions:
-            if not reached[j]:
-                reached[j] = 1
-                parents[j] = (prev, value)
-    return reached, parents, offset
-
-
 def _solve_dp(ms: IntMultiset) -> Optional[SubsetCertificate]:
+    """Reachable-sums dp as one big-int bitset per item prefix.
+
+    Bit i of a bitset stands for the sum i - offset.  prefixes[t] holds
+    every sum of a nonempty sub-multiset of items[:t + 1].  A sum's parent
+    is the item that first made it reachable, a single item winning a tie
+    with a shifted sum; the certificate follows parents back from sum 0.
+    """
     if ms.count(0) > 0:
         # A zero element is a certificate on its own.
         return SubsetCertificate(chosen=((0, 1),), sum=0)
-    weight = sum(abs(v) * m for v, m in ms.items())
+    pairs = ms.items()
+    weight = sum(abs(v) * m for v, m in pairs)
     if weight > DP_MAX_WEIGHT:
         raise CapacityError(f"dp table capped at weight {DP_MAX_WEIGHT}, got {weight}")
-    if ms.total == 0:
-        return None
-    reached, parents, offset = _dp_table(ms)
-    if not reached[offset]:
+    bits = ms.total * (weight + 1)
+    if bits > DP_MAX_BITS:
+        raise CapacityError(f"dp prefixes capped at {DP_MAX_BITS} bits, got {bits}")
+    offset = -sum(v * m for v, m in pairs if v < 0)
+    items = [v for v, m in pairs for _ in range(m)]
+    reach = 0
+    prefixes = []
+    for v in items:
+        reach |= (reach << v if v > 0 else reach >> -v) | 1 << (v + offset)
+        prefixes.append(reach)
+    if not reach >> offset & 1:
         return None
     counts: Counter = Counter()
-    i = offset
+    i, t = offset, len(items)
     while True:
-        prev, v = parents[i]
+        t = bisect.bisect_left(prefixes, 1, hi=t, key=lambda r: r >> i & 1)
+        v = items[t]
         counts[v] += 1
-        if prev is None:
+        if i == v + offset:
             break
-        i = prev
+        i -= v
     return _certificate(counts)
-
-
-def _half_sums(side: list[int]) -> tuple[dict[int, int], Optional[int]]:
-    """Subset sums of one half: sum -> first achieving mask, plus the first
-    nonempty mask summing to zero (the empty mask always claims sum 0)."""
-    first: dict[int, int] = {}
-    zero_nonempty = None
-    for mask in range(1 << len(side)):
-        s = sum(side[i] for i in range(len(side)) if mask >> i & 1)
-        if s not in first:
-            first[s] = mask
-        if s == 0 and mask != 0 and zero_nonempty is None:
-            zero_nonempty = mask
-    return first, zero_nonempty
-
-
-def _solve_mitm(ms: IntMultiset) -> Optional[SubsetCertificate]:
-    items = [v for v, m in ms.items() for _ in range(m)]
-    if not items:
-        return None
-    half = len(items) // 2
-    left, right = items[:half], items[half:]
-    lsums, lzero = _half_sums(left)
-    rsums, rzero = _half_sums(right)
-
-    for s in sorted((s for s in lsums if -s in rsums), key=lambda s: (abs(s), s)):
-        mask_l, mask_r = lsums[s], rsums[-s]
-        if mask_l == 0 and mask_r == 0:
-            # Only the s == 0 pairing can be doubly empty; fall back to a
-            # nonempty zero subset on either side if one exists.
-            if lzero is not None:
-                mask_l = lzero
-            elif rzero is not None:
-                mask_r = rzero
-            else:
-                continue
-        counts: Counter = Counter()
-        for i, v in enumerate(left):
-            if mask_l >> i & 1:
-                counts[v] += 1
-        for i, v in enumerate(right):
-            if mask_r >> i & 1:
-                counts[v] += 1
-        return _certificate(counts)
-    return None
 
 
 @dataclass
@@ -285,7 +217,7 @@ def run_corollary_experiment(
         method=method,
         p=p,
         witness=witness,
-        fh_equal=fh_equal(f_ms, h_ms),
+        fh_equal=f_ms == h_ms,
         solvable_f=solvable_f,
         solvable_h=solvable_h,
         agreement=solvable_f == solvable_h,

@@ -4,7 +4,10 @@ Each follows its definition word for word, with no indexing or pruning,
 so the fast implementations in src/ can be tested against them.
 """
 
+from collections import Counter
+
 from jumpfree.predicates import JumpFreeWitness
+from jumpfree.subsetsum import SubsetCertificate
 
 
 def literal_jump_free_violation(fa, fb):
@@ -30,3 +33,40 @@ def literal_is_jump_free_family(fam):
             if witness is not None:
                 return witness
     return None
+
+
+def literal_dp_certificate(ms):
+    """Reachable-sums table with parent links, walked back from sum 0.
+
+    Index = sum + offset.  parents[i] is (previous index or None, item
+    value) recorded when index i first became reachable, a single item
+    winning a tie; each step of the walk consumes one item copy.
+    """
+    if ms.count(0) > 0:
+        return SubsetCertificate(chosen=((0, 1),), sum=0)
+    neg = sum(v * m for v, m in ms.items() if v < 0)
+    pos = sum(v * m for v, m in ms.items() if v > 0)
+    width = pos - neg + 1
+    offset = -neg
+    reached = bytearray(width)
+    parents = [None] * width
+    for v in [v for v, m in ms.items() for _ in range(m)]:
+        additions = []
+        if not reached[v + offset]:
+            additions.append((v + offset, None, v))
+        for i, hit in enumerate(reached):
+            if hit and not reached[i + v]:
+                additions.append((i + v, i, v))
+        for j, prev, value in additions:
+            if not reached[j]:
+                reached[j] = 1
+                parents[j] = (prev, value)
+    if not reached[offset]:
+        return None
+    counts = Counter()
+    i = offset
+    while i is not None:
+        i, v = parents[i]
+        counts[v] += 1
+    chosen = tuple(sorted(counts.items()))
+    return SubsetCertificate(chosen=chosen, sum=sum(v * m for v, m in chosen))

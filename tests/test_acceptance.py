@@ -15,7 +15,7 @@ from jumpfree.families import (
     find_regressively_regular_witness,
     gen_family,
 )
-from jumpfree.intsets import IntMultiset, build_fh, fh_equal
+from jumpfree.intsets import IntMultiset, build_fh
 from jumpfree.predicates import (
     VIOLATED,
     FiniteFunction,
@@ -147,7 +147,7 @@ def test_criterion_4_set_version_chain():
                 assert witness is not None, (kind, p)
                 f = fam.member(witness.function_id)
                 f_ms, h_ms = build_fh(f, witness.cube)
-                assert fh_equal(f_ms, h_ms), (kind, p)
+                assert f_ms == h_ms, (kind, p)
                 assert f_ms.total == p**2, (kind, p)
 
                 # One value forced into the middle interval must split the
@@ -159,7 +159,7 @@ def test_criterion_4_set_version_chain():
                 broken[top] = cube.min_element
                 f2 = FiniteFunction(id="broken", k=2, entries=broken)
                 f2_ms, h2_ms = build_fh(f2, cube)
-                assert not fh_equal(f2_ms, h2_ms), (kind, p)
+                assert f2_ms != h2_ms, (kind, p)
 
 
 def test_criterion_5_solver_oracle():
@@ -169,11 +169,10 @@ def test_criterion_5_solver_oracle():
             size = rng.randint(0, 12)
             ms = IntMultiset.from_values(rng.randint(-9, 9) for _ in range(size))
             oracle = solve_subset_sum(ms, "exhaustive")
-            for method in ("dp", "mitm"):
-                cert = solve_subset_sum(ms, method)
-                assert (cert is None) == (oracle is None), ms
-                if cert is not None:
-                    assert is_valid_certificate(cert, ms), (method, ms)
+            cert = solve_subset_sum(ms, "dp")
+            assert (cert is None) == (oracle is None), ms
+            if cert is not None:
+                assert is_valid_certificate(cert, ms), ms
             if oracle is not None:
                 assert is_valid_certificate(oracle, ms), ms
 

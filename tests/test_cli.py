@@ -150,7 +150,7 @@ def test_sets_builds_pair(capsys, function_cube_file):
 def test_solve_reports_certificate(capsys, tmp_path):
     path = tmp_path / "ms.json"
     path.write_text(json.dumps([[3, 1], [-1, 1], [-2, 1]]))
-    for method in ("exhaustive", "dp", "mitm"):
+    for method in ("exhaustive", "dp"):
         status, doc = run_json(capsys, "solve", "--input", str(path), "--method", method)
         assert status == EXIT_OK
         assert doc["report"]["solvable"] is True
@@ -288,3 +288,39 @@ def test_malformed_family_document_exits_1(capsys, tmp_path, doc):
     assert captured.err.startswith("jumpfree: error:")
     assert "Traceback" not in captured.err
 
+
+
+_CUBE_FUNCTION = {"id": "f", "k": 2, "entries": [[[2, 2], 2], [[2, 5], 5], [[5, 2], 5], [[5, 5], 5]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        pytest.param("solve", [[1, "2"], [-1, 1.5]], id="str-and-float-multiplicity"),
+        pytest.param("solve", [[1, True], [-1, 1]], id="bool-multiplicity"),
+        pytest.param("solve", [[1.0, 1], [-1, 1]], id="float-multiset-value"),
+        pytest.param(
+            "check-rr",
+            {"function": _CUBE_FUNCTION, "cube": {"elements": [2.9, "5"], "k": 2}},
+            id="float-and-str-cube-elements",
+        ),
+        pytest.param(
+            "check-rr",
+            {"function": _CUBE_FUNCTION, "cube": {"elements": [2, 5], "k": "2"}},
+            id="str-cube-k",
+        ),
+        pytest.param(
+            "check-rr",
+            {"function": _CUBE_FUNCTION, "cube": {"elements": [2, 5], "k": True}},
+            id="bool-cube-k",
+        ),
+    ],
+)
+def test_malformed_multiset_or_cube_document_exits_1(capsys, tmp_path, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jumpfree: error:")
+    assert "Traceback" not in captured.err

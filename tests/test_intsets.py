@@ -12,7 +12,6 @@ from jumpfree.intsets import (
     ZBijection,
     build_fh,
     classify_interval,
-    fh_equal,
 )
 from jumpfree.predicates import FiniteFunction
 
@@ -128,7 +127,7 @@ def test_build_fh_max_rule_pinned():
     f = ff({x: max(x) for x in cube.points()})
     f_ms, h_ms = build_fh(f, cube)
     assert f_ms.to_json() == [[-1, 1], [3, 3]]
-    assert fh_equal(f_ms, h_ms)
+    assert f_ms == h_ms
     assert f_ms.total == 2**2
 
 
@@ -137,7 +136,7 @@ def test_build_fh_constant_zero():
     f = ff({x: 0 for x in cube.points()})
     f_ms, h_ms = build_fh(f, cube)
     assert f_ms == IntMultiset.from_pairs([[0, 4]])
-    assert fh_equal(f_ms, h_ms)
+    assert f_ms == h_ms
 
 
 def test_build_fh_interval1_point_breaks_equality():
@@ -149,7 +148,7 @@ def test_build_fh_interval1_point_breaks_equality():
     f_ms, h_ms = build_fh(f, cube)
     assert f_ms.to_json() == [[-1, 3], [2, 1]]
     assert h_ms.to_json() == [[-1, 3]]
-    assert not fh_equal(f_ms, h_ms)
+    assert f_ms != h_ms
     assert DEFAULT_GAMMAS[1].apply(3) in f_ms
 
 
@@ -158,7 +157,7 @@ def test_build_fh_set_semantics_dedups():
     f = ff({x: max(x) for x in cube.points()})
     f_ms, h_ms = build_fh(f, cube, semantics="set")
     assert f_ms.to_json() == [[-1, 1], [3, 1]]
-    assert fh_equal(f_ms, h_ms)
+    assert f_ms == h_ms
 
 
 def test_build_fh_set_semantics_merges_interval_collisions():
@@ -170,10 +169,10 @@ def test_build_fh_set_semantics_merges_interval_collisions():
     gammas = GammaTriple.parse("zigzag,zigzag,shifted:-2")
     f_ms, h_ms = build_fh(f, cube, gammas=gammas)
     assert f_ms.to_json() == [[-3, 2], [1, 2]]
-    assert fh_equal(f_ms, h_ms)
+    assert f_ms == h_ms
     f_set, h_set = build_fh(f, cube, gammas=gammas, semantics="set")
     assert f_set.to_json() == [[-3, 1], [1, 1]]
-    assert fh_equal(f_set, h_set)
+    assert f_set == h_set
 
 
 def test_build_fh_validates_input():
@@ -188,5 +187,5 @@ def test_build_fh_validates_input():
 def test_fh_equal_pinned():
     a = IntMultiset.from_values([-1, 3, 3, 3])
     b = IntMultiset.from_values([3, 3, -1, 3])
-    assert fh_equal(a, b)
-    assert not fh_equal(IntMultiset.from_values([0, 0]), IntMultiset.from_values([0]))
+    assert a == b
+    assert IntMultiset.from_values([0, 0]) != IntMultiset.from_values([0])

@@ -1,4 +1,4 @@
-"""Target-zero subset sum across all three methods, plus the experiment."""
+"""Target-zero subset sum by both methods, plus the experiment."""
 
 import itertools
 
@@ -14,11 +14,11 @@ from jumpfree.subsetsum import (
     METHODS,
     CapacityError,
     SubsetCertificate,
-    dp_reachable_sums,
     is_valid_certificate,
     run_corollary_experiment,
     solve_subset_sum,
 )
+from oracles import literal_dp_certificate
 
 multisets = st.lists(st.integers(min_value=-9, max_value=9), max_size=10).map(
     IntMultiset.from_values
@@ -84,30 +84,32 @@ def test_dp_zero_shortcut_skips_weight_guard():
     assert cert.chosen == ((0, 1),)
 
 
-def _all_nonempty_sums(ms):
-    items = list(ms)
-    sums = set()
-    for r in range(1, len(items) + 1):
-        for combo in itertools.combinations(range(len(items)), r):
-            sums.add(sum(items[i] for i in combo))
-    return sums
-
-
-@given(multisets)
-@settings(max_examples=200)
-def test_dp_reachable_matches_enumeration(ms):
-    assert dp_reachable_sums(ms) == _all_nonempty_sums(ms)
+def test_dp_bits_guard_trips_before_allocation():
+    # 40,000 items over 40,001 sums: about 1.6e9 bits of prefixes.
+    wide = IntMultiset.from_pairs([[1, 20000], [-1, 20000]])
+    with pytest.raises(CapacityError, match="bits"):
+        solve_subset_sum(wide, "dp")
 
 
 @given(multisets)
 @settings(max_examples=300)
 def test_methods_agree_and_certify(ms):
     oracle = solve_subset_sum(ms, "exhaustive")
-    for method in ("dp", "mitm"):
-        cert = solve_subset_sum(ms, method)
-        assert (cert is None) == (oracle is None)
-        if cert is not None:
-            assert is_valid_certificate(cert, ms)
+    cert = solve_subset_sum(ms, "dp")
+    assert (cert is None) == (oracle is None)
+    if cert is not None:
+        assert is_valid_certificate(cert, ms)
+
+
+@given(
+    st.one_of(
+        st.dictionaries(st.integers(-200, 200), st.integers(1, 3), max_size=12),
+        st.dictionaries(st.integers(1, 200), st.integers(1, 3), max_size=12),
+    ).map(IntMultiset)
+)
+@settings(max_examples=300)
+def test_dp_certificate_matches_literal_table(ms):
+    assert solve_subset_sum(ms, "dp") == literal_dp_certificate(ms)
 
 
 @given(multisets)
