@@ -7,13 +7,13 @@ deciders, tied together by a reproducible experiment harness.
 """
 
 from .core import (
+    CapacityError,
     Cube,
     KTuple,
     as_ktuple,
     cubes_in,
     enumerate_order_types,
     field_of,
-    order_equivalent,
     order_signature,
 )
 from .families import (
@@ -47,7 +47,6 @@ from .predicates import (
     regressive_regularity,
 )
 from .subsetsum import (
-    CapacityError,
     ExperimentReport,
     SubsetCertificate,
     is_valid_certificate,
@@ -90,7 +89,6 @@ __all__ = [
     "is_reflexive",
     "is_valid_certificate",
     "jump_free_violation",
-    "order_equivalent",
     "order_signature",
     "predecessor_set",
     "regressive_regularity",

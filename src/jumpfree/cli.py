@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .core import Cube
+from .core import CapacityError, Cube
 from .families import (
     FAMILY_KINDS,
     UniverseSpec,
@@ -41,30 +42,15 @@ from .predicates import (
     is_jump_free_family,
     regressive_regularity,
 )
-from .subsetsum import (
-    METHODS,
-    CapacityError,
-    run_corollary_experiment,
-    solve_subset_sum,
-)
+from .subsetsum import METHODS, run_corollary_experiment, solve_subset_sum
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 
-COMMANDS = (
-    "gen",
-    "check-jumpfree",
-    "check-full",
-    "check-rr",
-    "search",
-    "sets",
-    "solve",
-    "experiment",
-)
-
-# Commands exercising cube-indexed machinery, which needs k >= 2 and p >= 2.
-THEOREM_COMMANDS = ("check-rr", "search", "sets", "experiment")
+# Commands taking --k and --p for cube-indexed machinery, which needs
+# k >= 2 and p >= 2.
+THEOREM_COMMANDS = ("search", "experiment")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,6 +60,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+# Config echo keys that differ from the field name; they match UniverseSpec's.
+_JSON_KEYS = {
+    "grid": "gridBound",
+    "max_domain": "maxDomainSize",
+    "samples": "sampleCount",
+    "cubes": "includeAllCubes",
+}
 
 
 @dataclass(frozen=True)
@@ -96,22 +91,7 @@ class RunConfig:
     input: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "k": self.k,
-            "p": self.p,
-            "gridBound": self.grid,
-            "maxDomainSize": self.max_domain,
-            "sampleCount": self.samples,
-            "seed": self.seed,
-            "includeAllCubes": self.cubes,
-            "family": self.family,
-            "gamma": self.gamma,
-            "semantics": self.semantics,
-            "method": self.method,
-            "format": self.format,
-            "input": self.input,
-        }
+        return {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
     def universe_spec(self) -> UniverseSpec:
         return UniverseSpec(
@@ -124,67 +104,12 @@ class RunConfig:
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--k", type=int, default=2, help="tuple arity (default 2)")
-    common.add_argument("--p", type=int, default=2, help="cube side length (default 2)")
-    common.add_argument("--grid", type=int, default=4, help="coordinates range over 0..grid-1")
-    common.add_argument(
-        "--max-domain", type=int, default=8, help="largest domain size in the universe"
-    )
-    common.add_argument("--samples", type=int, default=50, help="seeded random domains to add")
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    common.add_argument(
-        "--cubes",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="include all cube powers that fit the size bound",
-    )
-    common.add_argument(
-        "--family", choices=FAMILY_KINDS, default="max", help="construction rule for members"
-    )
-    common.add_argument(
-        "--gamma",
-        default="zigzag,zigzag,zigzag",
-        help="comma-separated interval encoders, e.g. zigzag,zigzagneg,shifted:10",
-    )
-    common.add_argument("--semantics", choices=SEMANTICS, default=MULTISET)
-    common.add_argument(
-        "--method",
-        choices=METHODS,
-        default="dp",
-        help="subset-sum solver: exhaustive (oracle, at most 24 elements) or dp (bitset)",
-    )
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--input", default=None, help="path to a serialized input file")
-
-    parser = _Parser(
-        prog="jumpfree",
-        description="Generate, check, search, and run the full solvability experiment.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    helps = {
-        "gen": "generate a family over a seeded universe and print it",
-        "check-jumpfree": "decide all ordered pairs, skipping those with no shared x where b(x) > a(x)",
-        "check-full": "check the family covers every domain of the universe",
-        "check-rr": "classify one function over one cube (input file required)",
-        "search": "find the first regressively regular (member, cube) witness",
-        "sets": "build the paired integer multisets for one function and cube",
-        "solve": "decide target-zero subset sum for a multiset (input file required)",
-        "experiment": "witness search, multiset build, and paired solvability check",
-    }
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common], help=helps[name])
-    return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-
-
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: document nested too deeply") from None
 
 
 def _load_family(cfg: RunConfig) -> tuple[Family, Optional[UniverseSpec]]:
@@ -347,16 +272,93 @@ def _run_experiment(cfg: RunConfig) -> Outcome:
     return report, violation
 
 
-_HANDLERS = {
-    "gen": _run_gen,
-    "check-jumpfree": _run_check_jumpfree,
-    "check-full": _run_check_full,
-    "check-rr": _run_check_rr,
-    "search": _run_search,
-    "sets": _run_sets,
-    "solve": _run_solve,
-    "experiment": _run_experiment,
+# argparse settings of each flag, keyed by its RunConfig field.  Defaults
+# live in RunConfig alone: subparsers suppress every flag not given.
+_FLAGS = {
+    "k": {"type": int, "help": "tuple arity"},
+    "p": {"type": int, "help": "cube side length"},
+    "grid": {"type": int, "help": "coordinates range over 0..grid-1"},
+    "max_domain": {"type": int, "help": "largest domain size in the universe"},
+    "samples": {"type": int, "help": "seeded random domains to add"},
+    "seed": {"type": int, "help": "seed for all randomness"},
+    "cubes": {
+        "action": argparse.BooleanOptionalAction,
+        "help": "include all cube powers that fit the size bound",
+    },
+    "family": {"choices": FAMILY_KINDS, "help": "construction rule for members"},
+    "gamma": {"help": "comma-separated interval encoders, e.g. zigzag,zigzagneg,shifted:10"},
+    "semantics": {"choices": SEMANTICS},
+    "method": {
+        "choices": METHODS,
+        "help": "subset-sum solver: exhaustive (oracle, at most 24 elements) or dp (bitset)",
+    },
+    "format": {"choices": ("json", "csv")},
+    "input": {"help": "path to a serialized input file"},
 }
+
+
+class Command(NamedTuple):
+    help: str
+    flags: tuple[str, ...]
+    run: Callable[[RunConfig], Outcome]
+
+
+_FAMILY_FLAGS = ("k", "grid", "max_domain", "samples", "seed", "cubes", "family", "input")
+
+# One row per command, in help order; each takes --format plus the flags
+# its handler reads.
+COMMANDS = {
+    "gen": Command(
+        "generate a family over a seeded universe and print it", _FAMILY_FLAGS, _run_gen
+    ),
+    "check-jumpfree": Command(
+        "decide all ordered pairs, skipping those with no shared x where b(x) > a(x)",
+        _FAMILY_FLAGS,
+        _run_check_jumpfree,
+    ),
+    "check-full": Command(
+        "check the family covers every domain of the universe", _FAMILY_FLAGS, _run_check_full
+    ),
+    "check-rr": Command(
+        "classify one function over one cube (input file required)", ("input",), _run_check_rr
+    ),
+    "search": Command(
+        "find the first regressively regular (member, cube) witness",
+        _FAMILY_FLAGS + ("p",),
+        _run_search,
+    ),
+    "sets": Command(
+        "build the paired integer multisets for one function and cube",
+        ("input", "gamma", "semantics"),
+        _run_sets,
+    ),
+    "solve": Command(
+        "decide target-zero subset sum for a multiset (input file required)",
+        ("input", "method"),
+        _run_solve,
+    ),
+    "experiment": Command(
+        "witness search, multiset build, and paired solvability check",
+        _FAMILY_FLAGS + ("p", "gamma", "method"),
+        _run_experiment,
+    ),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state."""
+    parser = _Parser(
+        prog="jumpfree",
+        description="Generate, check, search, and run the full solvability experiment.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for flag, settings in _FLAGS.items():
+            if flag == "format" or flag in command.flags:
+                cmd.add_argument("--" + flag.replace("_", "-"), **settings)
+    return parser
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -390,7 +392,7 @@ def _to_csv(report: dict) -> str:
 def run(cfg: RunConfig) -> tuple[str, int]:
     """Rendered output document and exit status for one config."""
     _validate(cfg)
-    report, violation = _HANDLERS[cfg.command](cfg)
+    report, violation = COMMANDS[cfg.command].run(cfg)
     if cfg.format == "csv":
         text = _to_csv(report)
     else:
@@ -405,9 +407,7 @@ def run(cfg: RunConfig) -> tuple[str, int]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
+    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         text, status = run(cfg)
     except CapacityError as exc:

@@ -16,6 +16,10 @@ from typing import Iterable, Iterator, Sequence
 KTuple = tuple[int, ...]
 
 
+class CapacityError(Exception):
+    """Input exceeds a guard on work or memory; distinct from a negative verdict."""
+
+
 def is_nat(v: object) -> bool:
     """Whether v is a nonnegative plain int; bool, float and str never pass."""
     return type(v) is int and v >= 0
@@ -32,41 +36,16 @@ def as_ktuple(coords: Sequence[int]) -> KTuple:
     return t
 
 
-def min_max(x: KTuple) -> tuple[int, int]:
-    """Coordinate-wise minimum and maximum of a point."""
-    return min(x), max(x)
-
-
 def order_signature(x: KTuple) -> KTuple:
     """Dense-rank signature of a point.
 
     Position i carries the number of distinct coordinate values strictly
     below x[i].  Two points get equal signatures exactly when they are
-    order equivalent, which order_equivalent() checks by the literal
-    pairwise definition.
+    order equivalent: they have the same index pairs (i, j) with
+    x[i] < x[j] and the same with x[i] = x[j].
     """
     ranks = {v: r for r, v in enumerate(sorted(set(x)))}
     return tuple(ranks[v] for v in x)
-
-
-def order_equivalent(x: KTuple, y: KTuple) -> bool:
-    """Whether two points of equal arity realize the same coordinate order.
-
-    Compares the strict-inequality index set {(i,j) | x[i] < x[j]} and the
-    equality index set {(i,j) | x[i] = x[j]} of both points literally.
-    Deliberately independent of order_signature so the two implementations
-    can cross-check each other.
-    """
-    if len(x) != len(y):
-        raise ValueError(f"arity mismatch: {len(x)} vs {len(y)}")
-    idx = range(len(x))
-    lt_x = {(i, j) for i in idx for j in idx if x[i] < x[j]}
-    lt_y = {(i, j) for i in idx for j in idx if y[i] < y[j]}
-    if lt_x != lt_y:
-        return False
-    eq_x = {(i, j) for i in idx for j in idx if x[i] == x[j]}
-    eq_y = {(i, j) for i in idx for j in idx if y[i] == y[j]}
-    return eq_x == eq_y
 
 
 def enumerate_order_types(k: int) -> list[KTuple]:

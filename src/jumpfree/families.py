@@ -14,11 +14,12 @@ existence claim for full families.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Cube, KTuple, cubes_in, field_of
+from .core import CapacityError, Cube, KTuple, cubes_in, field_of
 from .predicates import (
     Family,
     FiniteFunction,
@@ -29,6 +30,8 @@ from .predicates import (
 FAMILY_KINDS = ("max", "min", "predmin", "constmin")
 
 Domain = tuple[KTuple, ...]
+
+UNIVERSE_MAX_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -69,13 +72,43 @@ class UniverseSpec:
         }
 
 
+def _capped_power(base: int, exp: int, cap: int) -> int:
+    """base**exp for base >= 2, or cap + 1 once it passes cap."""
+    result = 1
+    for _ in range(exp):
+        result *= base
+        if result > cap:
+            return cap + 1
+    return result
+
+
+def _points_bound(spec: UniverseSpec, cap: int) -> int:
+    """Upper bound on the points build_universe materializes: the grid,
+    every sampled domain at full size, and every cube power.  Summing stops
+    once the bound passes cap, so huge specs cost nothing to reject."""
+    grid_points = _capped_power(spec.grid_bound, spec.k, cap)
+    bound = grid_points + spec.sample_count * min(spec.max_domain_size, grid_points)
+    size = 2
+    while spec.include_all_cubes and bound <= cap and size <= spec.grid_bound:
+        power = _capped_power(size, spec.k, cap)
+        if power > spec.max_domain_size:
+            break
+        bound += math.comb(spec.grid_bound, size) * power
+        size += 1
+    return bound
+
+
 def build_universe(spec: UniverseSpec) -> list[Domain]:
     """Materialize the universe described by a spec.
 
     Cube domains come ordered by element-set size then lexicographic
     element set; random domains follow in draw order.  Duplicates are
-    dropped, keeping first occurrence.
+    dropped, keeping first occurrence.  Raises CapacityError before
+    building anything when the spec may need more than
+    UNIVERSE_MAX_POINTS points.
     """
+    if _points_bound(spec, UNIVERSE_MAX_POINTS) > UNIVERSE_MAX_POINTS:
+        raise CapacityError(f"universe capped at {UNIVERSE_MAX_POINTS} points")
     domains: list[Domain] = []
 
     if spec.include_all_cubes:

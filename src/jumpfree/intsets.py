@@ -163,22 +163,12 @@ class IntMultiset:
         """Sorted (value, multiplicity) pairs."""
         return sorted(self._counts.items())
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._counts))
-
     @property
     def total(self) -> int:
         return sum(self._counts.values())
 
-    def negated(self) -> "IntMultiset":
-        return IntMultiset({-v: m for v, m in self._counts.items()})
-
     def to_json(self) -> list[list[int]]:
         return [[v, m] for v, m in self.items()]
-
-    def __iter__(self):
-        for v, m in self.items():
-            yield from [v] * m
 
     def __contains__(self, value: int) -> bool:
         return self._counts[value] > 0

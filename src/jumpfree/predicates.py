@@ -51,9 +51,6 @@ class FiniteFunction:
     def __call__(self, x: KTuple) -> int:
         return self.entries[x]
 
-    def domain_sorted(self) -> list[KTuple]:
-        return sorted(self.entries)
-
     def to_json_dict(self) -> dict:
         return {
             "id": self.id,

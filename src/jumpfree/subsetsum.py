@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .core import CapacityError
 from .families import Family, WitnessResult, find_regressively_regular_witness
 from .intsets import DEFAULT_GAMMAS, GammaTriple, IntMultiset, build_fh
 
@@ -30,10 +31,6 @@ METHODS = ("exhaustive", "dp")
 
 OUTCOME_OK = "ok"
 OUTCOME_NO_WITNESS = "no_witness"
-
-
-class CapacityError(Exception):
-    """Input exceeds a solver's guard; distinct from an unsolvable verdict."""
 
 
 @dataclass(frozen=True)

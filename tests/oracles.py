@@ -10,6 +10,26 @@ from jumpfree.predicates import JumpFreeWitness
 from jumpfree.subsetsum import SubsetCertificate
 
 
+def order_equivalent(x, y):
+    """Whether two points of equal arity realize the same coordinate order.
+
+    Compares the strict-inequality index set {(i,j) | x[i] < x[j]} and the
+    equality index set {(i,j) | x[i] = x[j]} of both points literally.
+    Deliberately independent of order_signature so the two implementations
+    can cross-check each other.
+    """
+    if len(x) != len(y):
+        raise ValueError(f"arity mismatch: {len(x)} vs {len(y)}")
+    idx = range(len(x))
+    lt_x = {(i, j) for i in idx for j in idx if x[i] < x[j]}
+    lt_y = {(i, j) for i in idx for j in idx if y[i] < y[j]}
+    if lt_x != lt_y:
+        return False
+    eq_x = {(i, j) for i in idx for j in idx if x[i] == x[j]}
+    eq_y = {(i, j) for i in idx for j in idx if y[i] == y[j]}
+    return eq_x == eq_y
+
+
 def literal_jump_free_violation(fa, fb):
     """Rebuild both predecessor sets at every shared point, in lexicographic order."""
     if fa.k != fb.k:

@@ -8,7 +8,7 @@ import random
 import time
 
 from jumpfree.cli import EXIT_OK, main as cli_main
-from jumpfree.core import Cube, enumerate_order_types, order_equivalent, order_signature
+from jumpfree.core import Cube, enumerate_order_types, order_signature
 from jumpfree.families import (
     UniverseSpec,
     build_universe,
@@ -23,6 +23,7 @@ from jumpfree.predicates import (
     regressive_regularity,
 )
 from jumpfree.subsetsum import is_valid_certificate, solve_subset_sum
+from oracles import order_equivalent
 
 
 class Criterion:

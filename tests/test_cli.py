@@ -1,12 +1,13 @@
 """Exit-code contract, output document shape, and replay determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
+from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +222,73 @@ def test_bad_flag_value_exits_1():
     assert exc.value.code == EXIT_ERROR
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--family", "constmin"],
+        ["check-rr", "--k", "3"],
+        ["sets", "--method", "dp"],
+        ["gen", "--p", "3"],
+        ["check-jumpfree", "--gamma", "zigzag,zigzag,zigzag"],
+        ["search", "--semantics", "set"],
+    ],
+)
+def test_flag_the_command_does_not_read_exits_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_solve_config_echoes_every_default(capsys, tmp_path):
+    path = tmp_path / "ms.json"
+    path.write_text(json.dumps([[1, 1]]))
+    status, doc = run_json(capsys, "solve", "--input", str(path))
+    assert status == EXIT_OK
+    assert doc["config"] == {
+        "command": "solve",
+        "k": 2,
+        "p": 2,
+        "gridBound": 4,
+        "maxDomainSize": 8,
+        "sampleCount": 50,
+        "seed": 0,
+        "includeAllCubes": True,
+        "family": "max",
+        "gamma": "zigzag,zigzag,zigzag",
+        "semantics": "multiset",
+        "method": "dp",
+        "format": "json",
+        "input": str(path),
+    }
+
+
+_UNIVERSE_FLAGS = {"--k", "--grid", "--max-domain", "--samples", "--seed", "--cubes", "--no-cubes"}
+_FAMILY_FLAGS = _UNIVERSE_FLAGS | {"--family", "--input"}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("gen", _FAMILY_FLAGS),
+        ("check-jumpfree", _FAMILY_FLAGS),
+        ("check-full", _FAMILY_FLAGS),
+        ("check-rr", {"--input"}),
+        ("search", _FAMILY_FLAGS | {"--p"}),
+        ("sets", {"--input", "--gamma", "--semantics"}),
+        ("solve", {"--input", "--method"}),
+        ("experiment", _FAMILY_FLAGS | {"--p", "--gamma", "--method"}),
+    ],
+)
+def test_help_lists_exactly_the_command_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == EXIT_OK
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == flags | {"--format", "--help"}
+    assert build_parser() is build_parser()
+
+
 def test_theorem_commands_reject_k1(capsys):
     assert main(["search", "--k", "1"]) == EXIT_ERROR
     assert "requires --k >= 2" in capsys.readouterr().err
@@ -231,6 +299,33 @@ def test_capacity_error_exits_1(capsys, tmp_path):
     path.write_text(json.dumps([[1, 30]]))
     assert main(["solve", "--input", str(path), "--method", "exhaustive"]) == EXIT_ERROR
     assert "capacity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--grid", "100000", "--samples", "0", "--no-cubes"],
+        ["gen", "--k", "1000000000"],
+        ["check-jumpfree", "--samples", "1000000000000"],
+        ["search", "--grid", "3000", "--samples", "0"],
+    ],
+)
+def test_universe_guard_trips_before_allocation(capsys, argv):
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jumpfree: capacity: universe")
+
+
+@pytest.mark.parametrize("command", ["solve", "check-jumpfree", "check-rr"])
+def test_deeply_nested_document_exits_1(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main([command, "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jumpfree: error:")
+    assert "Traceback" not in captured.err
 
 
 def test_wrapped_family_document_accepted(capsys, tmp_path):

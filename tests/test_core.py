@@ -14,10 +14,9 @@ from jumpfree.core import (
     cubes_in,
     enumerate_order_types,
     field_of,
-    min_max,
-    order_equivalent,
     order_signature,
 )
+from oracles import order_equivalent
 
 ktuples = st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=5).map(tuple)
 
@@ -30,14 +29,6 @@ def test_as_ktuple_accepts_nonnegative_ints():
 def test_as_ktuple_rejects_invalid(bad):
     with pytest.raises((ValueError, TypeError)):
         as_ktuple(bad)
-
-
-@pytest.mark.parametrize(
-    "x, expected",
-    [((1, 3, 3), (1, 3)), ((7, 7), (7, 7)), ((0, 9, 2), (0, 9))],
-)
-def test_min_max(x, expected):
-    assert min_max(x) == expected
 
 
 @pytest.mark.parametrize(

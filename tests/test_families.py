@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from jumpfree import families
+from jumpfree.core import CapacityError
 from jumpfree.families import (
     FAMILY_KINDS,
     UniverseSpec,
@@ -65,6 +67,23 @@ def test_build_universe_includes_full_cube_when_it_fits():
     universe = build_universe(spec(max_domain_size=9))
     assert len(universe) == 4
     assert universe[-1] == tuple(itertools.product(range(3), repeat=2))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"k": 3, "grid_bound": 4, "max_domain_size": 27, "sample_count": 20},
+        {"grid_bound": 6, "max_domain_size": 16, "sample_count": 40, "seed": 5},
+        {"k": 1, "grid_bound": 9, "max_domain_size": 4, "sample_count": 7},
+    ],
+)
+def test_universe_guard_bounds_the_points_built(monkeypatch, overrides):
+    s = spec(**overrides)
+    points = s.grid_bound**s.k + sum(map(len, build_universe(s)))
+    monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", points - 1)
+    with pytest.raises(CapacityError, match="universe"):
+        build_universe(s)
 
 
 def test_build_universe_empty_when_nothing_requested():
