@@ -43,7 +43,6 @@ from .predicates import (
     is_jump_free_family,
     is_reflexive,
     jump_free_violation,
-    predecessor_set,
     regressive_regularity,
 )
 from .subsetsum import (
@@ -90,7 +89,6 @@ __all__ = [
     "is_valid_certificate",
     "jump_free_violation",
     "order_signature",
-    "predecessor_set",
     "regressive_regularity",
     "run_corollary_experiment",
     "solve_subset_sum",

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple, Optional
 from .core import CapacityError, Cube
 from .families import (
     FAMILY_KINDS,
+    Domain,
     UniverseSpec,
     build_universe,
     find_regressively_regular_witness,
@@ -112,20 +113,22 @@ def _read_json(path: str):
             raise ValueError(f"{path}: document nested too deeply") from None
 
 
-def _load_family(cfg: RunConfig) -> tuple[Family, Optional[UniverseSpec]]:
+def _load_family(cfg: RunConfig) -> tuple[Family, Optional[UniverseSpec], Optional[list[Domain]]]:
     """Family from --input when given, else generated from the universe flags.
 
     Input files may be a bare family document or a previous run's output
-    wrapping one under report.family.
+    wrapping one under report.family.  Only a generated family comes with
+    the spec and universe it was generated from.
     """
     if cfg.input is None:
         spec = cfg.universe_spec()
-        return gen_family(cfg.family, build_universe(spec)), spec
+        universe = build_universe(spec)
+        return gen_family(cfg.family, universe), spec, universe
     data = _read_json(cfg.input)
     if isinstance(data, dict) and "members" in data:
-        return Family.from_json_dict(data), None
+        return Family.from_json_dict(data), None, None
     if isinstance(data, dict) and "report" in data and "family" in data["report"]:
-        return Family.from_json_dict(data["report"]["family"]), None
+        return Family.from_json_dict(data["report"]["family"]), None, None
     raise ValueError(f"{cfg.input}: not a family document")
 
 
@@ -151,7 +154,7 @@ Outcome = tuple[dict, Optional[dict]]
 
 
 def _run_gen(cfg: RunConfig) -> Outcome:
-    fam, spec = _load_family(cfg)
+    fam, spec, _ = _load_family(cfg)
     report = {
         "universe": None if spec is None else spec.to_json_dict(),
         "family": fam.to_json_dict(),
@@ -161,7 +164,7 @@ def _run_gen(cfg: RunConfig) -> Outcome:
 
 
 def _run_check_jumpfree(cfg: RunConfig) -> Outcome:
-    fam, spec = _load_family(cfg)
+    fam, spec, _ = _load_family(cfg)
     witness = is_jump_free_family(fam)
     report = {
         "universe": None if spec is None else spec.to_json_dict(),
@@ -175,10 +178,11 @@ def _run_check_jumpfree(cfg: RunConfig) -> Outcome:
 
 def _run_check_full(cfg: RunConfig) -> Outcome:
     # Fullness is relative to an explicit universe, so the universe is
-    # always rebuilt from the flags and surfaced, even for input families.
-    fam, _ = _load_family(cfg)
-    spec = cfg.universe_spec()
-    universe = build_universe(spec)
+    # always built from the flags and surfaced, even for input families.
+    fam, spec, universe = _load_family(cfg)
+    if universe is None:
+        spec = cfg.universe_spec()
+        universe = build_universe(spec)
     uncovered = is_full_over(fam, universe)
     report = {
         "universe": spec.to_json_dict(),
@@ -214,7 +218,7 @@ def _run_check_rr(cfg: RunConfig) -> Outcome:
 
 
 def _run_search(cfg: RunConfig) -> Outcome:
-    fam, spec = _load_family(cfg)
+    fam, spec, _ = _load_family(cfg)
     witness = find_regressively_regular_witness(fam, cfg.p)
     report = {
         "universe": None if spec is None else spec.to_json_dict(),
@@ -254,7 +258,7 @@ def _run_solve(cfg: RunConfig) -> Outcome:
 
 
 def _run_experiment(cfg: RunConfig) -> Outcome:
-    fam, spec = _load_family(cfg)
+    fam, spec, _ = _load_family(cfg)
     gammas = GammaTriple.parse(cfg.gamma)
     result = run_corollary_experiment(fam, cfg.p, gammas=gammas, method=cfg.method)
     report = result.to_json_dict()
@@ -312,7 +316,7 @@ COMMANDS = {
         "generate a family over a seeded universe and print it", _FAMILY_FLAGS, _run_gen
     ),
     "check-jumpfree": Command(
-        "decide all ordered pairs, skipping those with no shared x where b(x) > a(x)",
+        "decide the jump-free implication for all ordered member pairs",
         _FAMILY_FLAGS,
         _run_check_jumpfree,
     ),

@@ -118,11 +118,12 @@ def build_universe(spec: UniverseSpec) -> list[Domain]:
                 domains.append(tuple(itertools.product(elems, repeat=spec.k)))
             size += 1
 
-    grid = sorted(itertools.product(range(spec.grid_bound), repeat=spec.k))
-    rng = random.Random(spec.seed)
-    for _ in range(spec.sample_count):
-        size = rng.randint(1, min(spec.max_domain_size, len(grid)))
-        domains.append(tuple(sorted(rng.sample(grid, size))))
+    if spec.sample_count:  # draws index the grid in product's lexicographic order
+        grid = list(itertools.product(range(spec.grid_bound), repeat=spec.k))
+        rng = random.Random(spec.seed)
+        for _ in range(spec.sample_count):
+            size = rng.randint(1, min(spec.max_domain_size, len(grid)))
+            domains.append(tuple(sorted(rng.sample(grid, size))))
 
     return list(dict.fromkeys(domains))
 

@@ -1,11 +1,11 @@
 """Decision procedures over finite functions on N^k.
 
-Covers reflexivity, predecessor sets, the pairwise and family-wide
-jump-free checks, universe-relative fullness, and the per-order-type
-regressive-regularity classifier.  All checks are pure; counterexamples
-are returned as explicit witness records, and witness selection is
-canonical (enumeration order, then lexicographic point order) so serial
-and parallel callers agree.
+Covers reflexivity, the pairwise and family-wide jump-free checks,
+universe-relative fullness, and the per-order-type regressive-regularity
+classifier.  All checks are pure; counterexamples are returned as
+explicit witness records, and witness selection is canonical
+(enumeration order, then lexicographic point order) so serial and
+parallel callers agree.
 """
 
 from __future__ import annotations
@@ -192,15 +192,6 @@ def is_reflexive(f: FiniteFunction) -> bool:
     return all(v in fld for v in f.entries.values())
 
 
-def predecessor_set(domain: Iterable[KTuple], x: KTuple) -> set[KTuple]:
-    """Points of the domain whose maximum coordinate is strictly below max(x)."""
-    pts = set(domain)
-    if x not in pts:
-        raise ValueError(f"point {x} is not in the domain")
-    mx = max(x)
-    return {z for z in pts if max(z) < mx}
-
-
 def jump_free_violation(fa: FiniteFunction, fb: FiniteFunction) -> Optional[JumpFreeWitness]:
     """First violation of the directional jump-free implication, or None.
 
@@ -223,26 +214,40 @@ def is_jump_free_family(fam: Family) -> Optional[JumpFreeWitness]:
     """Decide every ordered member pair, self-pairs included.
 
     Returns the canonically first witness (pair order, then lexicographic
-    point), or None.  A pair (a, b) can only violate at a shared x with
-    b(x) > a(x), so an index from each point to the members holding each
-    value there yields the only b's worth scanning; the verdict, which the
-    CLI reports as pairsChecked, still covers all m^2 pairs.
+    point), or None.  Member sets are big-int masks, bit j for member j:
+    eq[x][v] holds the members valuing x at v, greater[x][v] those valuing
+    x above v.  Walking fa's points up the levels (max(x)), below holds the
+    members equal to fa on every lower level, so below & greater[x][fa(x)]
+    is exactly the set of b that first disagree with fa on x's level, with
+    fa lower at x: those with jump_free_violation(fa, b) non-null.  The
+    lowest is the canonical b, and jump_free_violation builds its witness.
+    The verdict covers all m^2 pairs, which the CLI reports as pairsChecked.
     """
-    members = fam.members
-    index: dict[KTuple, dict[int, list[int]]] = {}
-    for j, f in enumerate(members):
+    eq: dict[KTuple, dict[int, int]] = {}
+    for j, f in enumerate(fam.members):
         for x, v in f.entries.items():
-            index.setdefault(x, {}).setdefault(v, []).append(j)
-    for fa in members:
-        rivals = set()
-        for x, v in fa.entries.items():
-            for w, held in index[x].items():
-                if w > v:
-                    rivals.update(held)
-        for j in sorted(rivals):
-            witness = jump_free_violation(fa, members[j])
-            if witness is not None:
-                return witness
+            held = eq.setdefault(x, {})
+            held[v] = held.get(v, 0) | 1 << j
+    greater: dict[KTuple, dict[int, int]] = {}
+    for x, held in eq.items():
+        above, greater[x] = 0, {}
+        for v in sorted(held, reverse=True):
+            greater[x][v] = above
+            above |= held[v]
+    for fa in fam.members:
+        # Most members of a jump-free family hold no larger value anywhere.
+        if not any(greater[x][v] for x, v in fa.entries.items()):
+            continue
+        hits, agree, below, top = 0, (1 << len(fam)) - 1, 0, -1
+        for level, x, v in sorted((max(x), x, v) for x, v in fa.entries.items()):
+            if level > top:
+                below, top = agree, level
+                if not below:
+                    break
+            hits |= below & greater[x][v]
+            agree &= eq[x][v]
+        if hits:
+            return jump_free_violation(fa, fam.members[(hits & -hits).bit_length() - 1])
     return None
 
 

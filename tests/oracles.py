@@ -30,6 +30,15 @@ def order_equivalent(x, y):
     return eq_x == eq_y
 
 
+def predecessor_set(domain, x):
+    """Points of the domain whose maximum coordinate is strictly below max(x)."""
+    pts = set(domain)
+    if x not in pts:
+        raise ValueError(f"point {x} is not in the domain")
+    mx = max(x)
+    return {z for z in pts if max(z) < mx}
+
+
 def literal_jump_free_violation(fa, fb):
     """Rebuild both predecessor sets at every shared point, in lexicographic order."""
     if fa.k != fb.k:

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+import jumpfree.cli
 from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, build_parser, main
+from jumpfree.families import build_universe
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +86,24 @@ def test_check_full_generated_family(capsys):
     assert status == EXIT_OK
     assert doc["report"]["full"] is True
     assert doc["report"]["universe"]["sampleCount"] == 5
+
+
+@pytest.mark.parametrize("source", ["generated", "input"])
+def test_check_full_builds_the_universe_once(capsys, monkeypatch, family_file, source):
+    calls = []
+
+    def counting_build_universe(spec):
+        calls.append(spec)
+        return build_universe(spec)
+
+    monkeypatch.setattr(jumpfree.cli, "build_universe", counting_build_universe)
+    argv = ["check-full", "--family", "min", "--samples", "5"]
+    if source == "input":
+        argv = ["check-full", "--input", family_file, "--samples", "5"]
+    status, doc = run_json(capsys, *argv)
+    assert status in (EXIT_OK, EXIT_VIOLATION)
+    assert len(calls) == 1
+    assert doc["report"]["universe"] == calls[0].to_json_dict()
 
 
 def test_check_full_detects_uncovered_domain(capsys, tmp_path):

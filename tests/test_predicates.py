@@ -17,9 +17,9 @@ from jumpfree.predicates import (
     is_jump_free_family,
     is_reflexive,
     jump_free_violation,
-    predecessor_set,
     regressive_regularity,
 )
+from oracles import predecessor_set
 
 
 def ff(fid, entries, k=2):
