@@ -6,6 +6,8 @@ paired integer-multiset construction, and target-zero subset-sum
 deciders, tied together by a reproducible experiment harness.
 """
 
+import types
+
 from .core import (
     CapacityError,
     Cube,
@@ -24,6 +26,8 @@ from .families import (
     build_universe,
     find_regressively_regular_witness,
     gen_family,
+    iter_family,
+    iter_universe,
 )
 from .intsets import (
     DEFAULT_GAMMAS,
@@ -55,41 +59,7 @@ from .subsetsum import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "ClassVerdict",
-    "Cube",
-    "DEFAULT_GAMMAS",
-    "ExperimentReport",
-    "FAMILY_KINDS",
-    "Family",
-    "FiniteFunction",
-    "GammaTriple",
-    "IntMultiset",
-    "JumpFreeWitness",
-    "KTuple",
-    "RegularityReport",
-    "SearchStats",
-    "SubsetCertificate",
-    "UniverseSpec",
-    "WitnessResult",
-    "ZBijection",
-    "as_ktuple",
-    "build_fh",
-    "build_universe",
-    "classify_interval",
-    "cubes_in",
-    "enumerate_order_types",
-    "field_of",
-    "find_regressively_regular_witness",
-    "gen_family",
-    "is_full_over",
-    "is_jump_free_family",
-    "is_reflexive",
-    "is_valid_certificate",
-    "jump_free_violation",
-    "order_signature",
-    "regressive_regularity",
-    "run_corollary_experiment",
-    "solve_subset_sum",
-]
+# Every name imported above, and nothing else.
+__all__ = sorted(
+    n for n, v in globals().items() if n[0] != "_" and not isinstance(v, types.ModuleType)
+)

@@ -18,7 +18,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import CapacityError, Cube
 from .families import (
@@ -28,6 +28,8 @@ from .families import (
     build_universe,
     find_regressively_regular_witness,
     gen_family,
+    iter_family,
+    iter_universe,
 )
 from .intsets import (
     MULTISET,
@@ -132,6 +134,17 @@ def _load_family(cfg: RunConfig) -> tuple[Family, Optional[UniverseSpec], Option
     raise ValueError(f"{cfg.input}: not a family document")
 
 
+def _load_members(cfg: RunConfig) -> tuple[Iterable[FiniteFunction], int, Optional[UniverseSpec]]:
+    """Members for the witness search, their arity k, and the spec of a
+    generated family.  Generated members come as a stream, so the search
+    stops generation at its witness."""
+    if cfg.input is None:
+        spec = cfg.universe_spec()
+        return iter_family(cfg.family, iter_universe(spec)), spec.k, spec
+    fam, _, _ = _load_family(cfg)
+    return fam.members, fam.k, None
+
+
 def _load_function_cube(cfg: RunConfig) -> tuple[FiniteFunction, Cube]:
     if cfg.input is None:
         raise ValueError(f"{cfg.command} requires --input with a function and cube document")
@@ -218,8 +231,8 @@ def _run_check_rr(cfg: RunConfig) -> Outcome:
 
 
 def _run_search(cfg: RunConfig) -> Outcome:
-    fam, spec, _ = _load_family(cfg)
-    witness = find_regressively_regular_witness(fam, cfg.p)
+    members, k, spec = _load_members(cfg)
+    witness = find_regressively_regular_witness(members, cfg.p, k)
     report = {
         "universe": None if spec is None else spec.to_json_dict(),
         "p": cfg.p,
@@ -258,9 +271,9 @@ def _run_solve(cfg: RunConfig) -> Outcome:
 
 
 def _run_experiment(cfg: RunConfig) -> Outcome:
-    fam, spec, _ = _load_family(cfg)
+    members, k, spec = _load_members(cfg)
     gammas = GammaTriple.parse(cfg.gamma)
-    result = run_corollary_experiment(fam, cfg.p, gammas=gammas, method=cfg.method)
+    result = run_corollary_experiment(members, cfg.p, gammas=gammas, method=cfg.method, k=k)
     report = result.to_json_dict()
     report["universe"] = None if spec is None else spec.to_json_dict()
     violation = None

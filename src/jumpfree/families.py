@@ -5,10 +5,11 @@ A universe is an explicit finite list of domains standing in for "every
 finite subset of N^k", which no artifact can enumerate.  Four value rules
 generate families over a universe: max, min, and predmin are jump free by
 construction, while constmin deliberately is not and serves as the
-checkers' negative control.  The witness search scans members in family
-order and cubes in lexicographic order, so absence of a witness is a
-statement about the truncated universe only, never a refutation of the
-existence claim for full families.
+checkers' negative control.  Universes and families are made as streams,
+so the witness search, which scans members in family order and cubes in
+lexicographic order, stops generation at its witness.  Absence of a
+witness is a statement about the truncated universe only, never a
+refutation of the existence claim for full families.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import CapacityError, Cube, KTuple, cubes_in, field_of
 from .predicates import (
@@ -83,11 +84,14 @@ def _capped_power(base: int, exp: int, cap: int) -> int:
 
 
 def _points_bound(spec: UniverseSpec, cap: int) -> int:
-    """Upper bound on the points build_universe materializes: the grid,
-    every sampled domain at full size, and every cube power.  Summing stops
-    once the bound passes cap, so huge specs cost nothing to reject."""
-    grid_points = _capped_power(spec.grid_bound, spec.k, cap)
-    bound = grid_points + spec.sample_count * min(spec.max_domain_size, grid_points)
+    """Upper bound on the points the universe materializes: the grid and
+    every sampled domain at full size when samples are drawn, and every
+    cube power.  Summing stops once the bound passes cap, so huge specs
+    cost nothing to reject."""
+    bound = 0
+    if spec.sample_count:  # the grid is built only to sample from
+        grid_points = _capped_power(spec.grid_bound, spec.k, cap)
+        bound = grid_points + spec.sample_count * min(spec.max_domain_size, grid_points)
     size = 2
     while spec.include_all_cubes and bound <= cap and size <= spec.grid_bound:
         power = _capped_power(size, spec.k, cap)
@@ -98,24 +102,26 @@ def _points_bound(spec: UniverseSpec, cap: int) -> int:
     return bound
 
 
-def build_universe(spec: UniverseSpec) -> list[Domain]:
-    """Materialize the universe described by a spec.
+def iter_universe(spec: UniverseSpec) -> Iterator[Domain]:
+    """The universe described by a spec, one domain at a time.
 
     Cube domains come ordered by element-set size then lexicographic
-    element set; random domains follow in draw order.  Duplicates are
-    dropped, keeping first occurrence.  Raises CapacityError before
-    building anything when the spec may need more than
-    UNIVERSE_MAX_POINTS points.
+    element set; random domains follow in draw order, each drawn only when
+    the consumer asks for it.  Duplicates are dropped, keeping first
+    occurrence.  Raises CapacityError before yielding anything when the
+    spec may need more than UNIVERSE_MAX_POINTS points.
     """
     if _points_bound(spec, UNIVERSE_MAX_POINTS) > UNIVERSE_MAX_POINTS:
         raise CapacityError(f"universe capped at {UNIVERSE_MAX_POINTS} points")
-    domains: list[Domain] = []
+    seen: set[Domain] = set()
 
     if spec.include_all_cubes:
         size = 2
         while size <= spec.grid_bound and size**spec.k <= spec.max_domain_size:
             for elems in itertools.combinations(range(spec.grid_bound), size):
-                domains.append(tuple(itertools.product(elems, repeat=spec.k)))
+                dom = tuple(itertools.product(elems, repeat=spec.k))
+                seen.add(dom)
+                yield dom
             size += 1
 
     if spec.sample_count:  # draws index the grid in product's lexicographic order
@@ -123,9 +129,15 @@ def build_universe(spec: UniverseSpec) -> list[Domain]:
         rng = random.Random(spec.seed)
         for _ in range(spec.sample_count):
             size = rng.randint(1, min(spec.max_domain_size, len(grid)))
-            domains.append(tuple(sorted(rng.sample(grid, size))))
+            dom = tuple(sorted(rng.sample(grid, size)))
+            if dom not in seen:
+                seen.add(dom)
+                yield dom
 
-    return list(dict.fromkeys(domains))
+
+def build_universe(spec: UniverseSpec) -> list[Domain]:
+    """Materialize the whole universe described by a spec (see iter_universe)."""
+    return list(iter_universe(spec))
 
 
 def _rule_max(dom: list[KTuple]) -> dict[KTuple, int]:
@@ -161,19 +173,18 @@ _RULES = {
 }
 
 
-def gen_family(kind: str, universe: list[Domain]) -> Family:
-    """One member per universe domain, valued by the named rule.
+def iter_family(kind: str, universe: Iterable[Domain]) -> Iterator[FiniteFunction]:
+    """One member per universe domain, valued by the named rule, made as
+    the domains arrive, so a consumer that stops early stops generation.
 
     All four rules are reflexive by construction.  max, min, and predmin
     yield jump-free families; constmin does not, by design, so checkers
-    have a guaranteed negative fixture.
+    have a guaranteed negative fixture.  Member i has id "{kind}-{i:03d}",
+    and every member takes the arity of the first domain.
     """
     if kind not in _RULES:
         raise ValueError(f"unknown family kind {kind!r}, expected one of {FAMILY_KINDS}")
-    if not universe:
-        raise ValueError("cannot generate a family over an empty universe")
     rule = _RULES[kind]
-    members = []
     k = None
     for i, dom in enumerate(universe):
         dom = tuple(tuple(t) for t in dom)
@@ -182,8 +193,15 @@ def gen_family(kind: str, universe: list[Domain]) -> Family:
         if k is None:
             k = len(dom[0])
         entries = rule(sorted(frozenset(dom)))
-        members.append(FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=entries))
-    return Family(k=k, members=tuple(members))
+        yield FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=entries)
+    if k is None:
+        raise ValueError("cannot generate a family over an empty universe")
+
+
+def gen_family(kind: str, universe: Iterable[Domain]) -> Family:
+    """The whole family iter_family makes over a universe."""
+    members = tuple(iter_family(kind, universe))
+    return Family(k=members[0].k, members=members)
 
 
 @dataclass(frozen=True)
@@ -202,7 +220,7 @@ class SearchStats:
 class WitnessResult:
     """A member and cube over which the member is regressively regular."""
 
-    function_id: str
+    function: FiniteFunction
     cube: Cube
     report: RegularityReport
     search_stats: SearchStats
@@ -210,6 +228,10 @@ class WitnessResult:
     def __post_init__(self) -> None:
         if not self.report.overall:
             raise ValueError("witness requires an overall-regular report")
+
+    @property
+    def function_id(self) -> str:
+        return self.function.id
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,27 +242,34 @@ class WitnessResult:
         }
 
 
-def find_regressively_regular_witness(fam: Family, p: int) -> Optional[WitnessResult]:
+def find_regressively_regular_witness(
+    members: Iterable[FiniteFunction] | Family, p: int, k: Optional[int] = None
+) -> Optional[WitnessResult]:
     """First (member, cube) pair that classifies as regressively regular.
 
-    Members are scanned in family order and candidate cubes of size p in
+    Members are scanned in order and candidate cubes of size p in
     lexicographic order, with no heuristics, so repeated runs return the
-    identical witness.  Returns None when the whole family is exhausted;
-    over a truncated universe that outcome carries no meaning beyond the
-    scanned scope.
+    identical witness.  members may be a stream such as iter_family's: it
+    is pulled one member at a time and left at the witness, so a generated
+    family is built only up to its first witness.  k is the members'
+    arity; left out, it is members.k and a whole Family is scanned.
+    Returns None when the members are exhausted; over a truncated universe
+    that outcome carries no meaning beyond the scanned scope.
     """
     if p < 2:
         raise ValueError("witness search requires cube size p >= 2")
-    if fam.k < 2:
+    if k is None:
+        members, k = members.members, members.k
+    if k < 2:
         raise ValueError("witness search requires arity k >= 2")
     functions_examined = 0
     cubes_examined = 0
-    for f in fam.members:
+    for f in members:
         functions_examined += 1
         for cube in cubes_in(f.entries.keys(), p):
             cubes_examined += 1
             report = regressive_regularity(f, cube)
             if report.overall:
                 stats = SearchStats(functions_examined, cubes_examined)
-                return WitnessResult(f.id, cube, report, stats)
+                return WitnessResult(f, cube, report, stats)
     return None

@@ -36,10 +36,6 @@ def _zigzag(n: int) -> int:
     return -(n // 2) if n % 2 == 0 else (n + 1) // 2
 
 
-def _zigzag_inverse(z: int) -> int:
-    return 2 * z - 1 if z > 0 else -2 * z
-
-
 @dataclass(frozen=True)
 class ZBijection:
     """A parametric bijection from N onto Z.
@@ -65,14 +61,6 @@ class ZBijection:
         if self.kind == ZIGZAG_NEG:
             return -_zigzag(n)
         return _zigzag(n) + self.offset
-
-    def invert(self, z: int) -> int:
-        """The unique n with apply(n) == z."""
-        if self.kind == ZIGZAG:
-            return _zigzag_inverse(z)
-        if self.kind == ZIGZAG_NEG:
-            return _zigzag_inverse(-z)
-        return _zigzag_inverse(z - self.offset)
 
     def spec(self) -> str:
         return f"{SHIFTED}:{self.offset}" if self.kind == SHIFTED else self.kind
@@ -103,10 +91,6 @@ class GammaTriple:
 
     def to_json_dict(self) -> dict:
         return {"g0": self.g0.spec(), "g1": self.g1.spec(), "g2": self.g2.spec()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GammaTriple":
-        return cls(*(ZBijection.parse(data[key]) for key in ("g0", "g1", "g2")))
 
     @classmethod
     def parse(cls, text: str) -> "GammaTriple":

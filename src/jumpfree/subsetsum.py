@@ -17,11 +17,12 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import CapacityError
 from .families import Family, WitnessResult, find_regressively_regular_witness
 from .intsets import DEFAULT_GAMMAS, GammaTriple, IntMultiset, build_fh
+from .predicates import FiniteFunction
 
 EXHAUSTIVE_MAX_TOTAL = 24
 DP_MAX_WEIGHT = 10**7
@@ -180,25 +181,28 @@ class ExperimentReport:
 
 
 def run_corollary_experiment(
-    fam: Family,
+    members: Iterable[FiniteFunction] | Family,
     p: int,
     gammas: GammaTriple = DEFAULT_GAMMAS,
     method: str = "dp",
+    k: Optional[int] = None,
 ) -> ExperimentReport:
     """Witness search, multiset construction, and paired solvability check.
 
-    Finds the first regressively regular (member, cube) pair, builds the
-    paired multisets under multiset semantics, solves both for target
-    zero, and reports whether the decisions agree, along with the p^k
-    cardinality check and wall-clock solve timings.
+    Finds the first regressively regular (member, cube) pair, pulling
+    members only up to it (see find_regressively_regular_witness for
+    members and k), builds the witness member's paired multisets under
+    multiset semantics, solves both for target zero, and reports whether
+    the decisions agree, along with the p^k cardinality check and
+    wall-clock solve timings.
     """
     if p < 2:
         raise ValueError("experiment requires cube size p >= 2")
-    witness = find_regressively_regular_witness(fam, p)
+    witness = find_regressively_regular_witness(members, p, k)
     if witness is None:
         return ExperimentReport(outcome=OUTCOME_NO_WITNESS, method=method, p=p)
 
-    f = fam.member(witness.function_id)
+    f = witness.function
     f_ms, h_ms = build_fh(f, witness.cube, gammas=gammas, semantics="multiset")
 
     t0 = time.perf_counter()
@@ -218,7 +222,7 @@ def run_corollary_experiment(
         solvable_f=solvable_f,
         solvable_h=solvable_h,
         agreement=solvable_f == solvable_h,
-        cardinality_ok=f_ms.total == p**fam.k,
+        cardinality_ok=f_ms.total == p**f.k,
         f_multiset=f_ms,
         h_multiset=h_ms,
         certificate_f=cert_f,

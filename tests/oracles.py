@@ -4,6 +4,8 @@ Each follows its definition word for word, with no indexing or pruning,
 so the fast implementations in src/ can be tested against them.
 """
 
+import itertools
+import random
 from collections import Counter
 
 from jumpfree.predicates import JumpFreeWitness
@@ -37,6 +39,29 @@ def predecessor_set(domain, x):
         raise ValueError(f"point {x} is not in the domain")
     mx = max(x)
     return {z for z in pts if max(z) < mx}
+
+
+def literal_universe(spec):
+    """Every cube power, then every draw, deduplicated in one pass at the end."""
+    domains = []
+    if spec.include_all_cubes:
+        for size in range(2, spec.grid_bound + 1):
+            if size**spec.k > spec.max_domain_size:
+                break
+            for elems in itertools.combinations(range(spec.grid_bound), size):
+                domains.append(tuple(itertools.product(elems, repeat=spec.k)))
+    grid = list(itertools.product(range(spec.grid_bound), repeat=spec.k))
+    rng = random.Random(spec.seed)
+    for _ in range(spec.sample_count):
+        size = rng.randint(1, min(spec.max_domain_size, len(grid)))
+        domains.append(tuple(sorted(rng.sample(grid, size))))
+    return list(dict.fromkeys(domains))
+
+
+def bijection_inverse(b, z):
+    """The unique n with b.apply(n) == z, for a ZBijection b."""
+    z = {"zigzag": z, "zigzagneg": -z, "shifted": z - b.offset}[b.kind]
+    return 2 * z - 1 if z > 0 else -2 * z
 
 
 def literal_jump_free_violation(fa, fb):

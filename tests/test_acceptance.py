@@ -146,7 +146,7 @@ def test_criterion_4_set_version_chain():
             for p in (2, 3):
                 witness = find_regressively_regular_witness(fam, p)
                 assert witness is not None, (kind, p)
-                f = fam.member(witness.function_id)
+                f = witness.function
                 f_ms, h_ms = build_fh(f, witness.cube)
                 assert f_ms == h_ms, (kind, p)
                 assert f_ms.total == p**2, (kind, p)

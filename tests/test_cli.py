@@ -1,6 +1,7 @@
 """Exit-code contract, output document shape, and replay determinism."""
 
 import json
+import random
 import re
 import subprocess
 import sys
@@ -324,7 +325,7 @@ def test_capacity_error_exits_1(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gen", "--grid", "100000", "--samples", "0", "--no-cubes"],
+        ["gen", "--grid", "100000", "--samples", "1", "--no-cubes"],
         ["gen", "--k", "1000000000"],
         ["check-jumpfree", "--samples", "1000000000000"],
         ["search", "--grid", "3000", "--samples", "0"],
@@ -335,6 +336,47 @@ def test_universe_guard_trips_before_allocation(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("jumpfree: capacity: universe")
+
+
+def test_universe_without_samples_counts_no_grid_points(capsys):
+    # 358,800 cube points and no samples: the grid is never built, so the
+    # cap must not count its 300^3 points.
+    status, doc = run_json(
+        capsys, "search", "--k", "3", "--grid", "300", "--max-domain", "8", "--samples", "0"
+    )
+    assert status == EXIT_OK
+    assert doc["report"]["found"] is True
+
+
+def test_experiment_generates_members_only_up_to_the_witness(capsys, monkeypatch):
+    members, draws = [], []
+    real_function, real_sample = jumpfree.families.FiniteFunction, random.Random.sample
+
+    def counting_function(*args, **kwargs):
+        members.append(real_function(*args, **kwargs))
+        return members[-1]
+
+    def counting_sample(self, *args, **kwargs):
+        draws.append(args)
+        return real_sample(self, *args, **kwargs)
+
+    monkeypatch.setattr(jumpfree.families, "FiniteFunction", counting_function)
+    monkeypatch.setattr(random.Random, "sample", counting_sample)
+    argv = ["experiment", "--family", "max", "--p", "3", "--grid", "8", "--max-domain", "64"]
+    status, doc = run_json(capsys, *argv, "--samples", "300")
+    assert status == EXIT_OK
+    assert doc["report"]["witness"]["functionId"] == "max-028"
+    assert doc["report"]["witness"]["searchStats"]["functionsExamined"] == 29
+    assert len(members) == 29
+    assert draws == []
+
+
+@pytest.mark.parametrize("command", ["search", "experiment"])
+def test_empty_universe_exits_1(capsys, command):
+    assert main([command, "--samples", "0", "--no-cubes"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jumpfree: error: cannot generate a family over an empty universe\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "check-jumpfree", "check-rr"])

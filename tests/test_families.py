@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jumpfree import families
 from jumpfree.core import CapacityError
@@ -12,6 +14,8 @@ from jumpfree.families import (
     build_universe,
     find_regressively_regular_witness,
     gen_family,
+    iter_family,
+    iter_universe,
 )
 from jumpfree.predicates import (
     Family,
@@ -21,6 +25,7 @@ from jumpfree.predicates import (
     is_reflexive,
     jump_free_violation,
 )
+from oracles import literal_universe
 
 
 def spec(**overrides):
@@ -80,7 +85,8 @@ def test_build_universe_includes_full_cube_when_it_fits():
 )
 def test_universe_guard_bounds_the_points_built(monkeypatch, overrides):
     s = spec(**overrides)
-    points = s.grid_bound**s.k + sum(map(len, build_universe(s)))
+    grid_points = s.grid_bound**s.k if s.sample_count else 0  # the grid is built to sample from
+    points = grid_points + sum(map(len, build_universe(s)))
     monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", points - 1)
     with pytest.raises(CapacityError, match="universe"):
         build_universe(s)
@@ -209,6 +215,11 @@ def test_find_witness_validates_args():
     fam = gen_family("max", [((0, 0),)])
     with pytest.raises(ValueError):
         find_regressively_regular_witness(fam, 1)
+    # p is checked before k, and both before any member is pulled.
+    with pytest.raises(ValueError, match="cube size"):
+        find_regressively_regular_witness(iter_family("max", iter([])), 1, 1)
+    with pytest.raises(ValueError, match="arity"):
+        find_regressively_regular_witness(iter_family("max", iter([])), 2, 1)
 
 
 def test_witness_json_shape():
@@ -219,3 +230,31 @@ def test_witness_json_shape():
     assert data["cube"] == {"elements": [0, 1], "k": 2}
     assert data["report"]["overall"] is True
     assert data["searchStats"] == {"functionsExamined": 1, "cubesExamined": 1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(FAMILY_KINDS),
+    k=st.integers(2, 3),
+    grid_bound=st.integers(2, 4),
+    max_domain_size=st.integers(1, 27),
+    sample_count=st.integers(0, 25),
+    seed=st.integers(0, 10**6),
+    include_all_cubes=st.booleans(),
+    p=st.integers(2, 3),
+)
+@example("predmin", 2, 3, 4, 0, 0, True, 2)  # no witness
+@example("max", 2, 3, 9, 0, 0, False, 2)  # empty universe
+def test_streamed_search_matches_search_over_whole_family(
+    kind, k, grid_bound, max_domain_size, sample_count, seed, include_all_cubes, p
+):
+    s = UniverseSpec(k, grid_bound, max_domain_size, sample_count, seed, include_all_cubes)
+    universe = build_universe(s)
+    assert universe == literal_universe(s)
+    stream = iter_family(kind, iter_universe(s))
+    if not universe:
+        with pytest.raises(ValueError, match="empty universe"):
+            find_regressively_regular_witness(stream, p, k)
+        return
+    whole = find_regressively_regular_witness(gen_family(kind, universe).members, p, k)
+    assert find_regressively_regular_witness(stream, p, k) == whole
