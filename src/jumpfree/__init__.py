@@ -12,7 +12,6 @@ from .core import (
     CapacityError,
     Cube,
     KTuple,
-    as_ktuple,
     cubes_in,
     enumerate_order_types,
     field_of,
@@ -35,7 +34,6 @@ from .intsets import (
     IntMultiset,
     ZBijection,
     build_fh,
-    classify_interval,
 )
 from .predicates import (
     ClassVerdict,

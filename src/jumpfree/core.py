@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 KTuple = tuple[int, ...]
 
@@ -23,17 +23,6 @@ class CapacityError(Exception):
 def is_nat(v: object) -> bool:
     """Whether v is a nonnegative plain int; bool, float and str never pass."""
     return type(v) is int and v >= 0
-
-
-def as_ktuple(coords: Sequence[int]) -> KTuple:
-    """Validate a coordinate sequence and return it as a plain tuple."""
-    t = tuple(coords)
-    if not t:
-        raise ValueError("a point needs arity k >= 1")
-    for c in t:
-        if not is_nat(c):
-            raise ValueError(f"coordinates must be nonnegative integers, got {c!r}")
-    return t
 
 
 def order_signature(x: KTuple) -> KTuple:
@@ -106,10 +95,6 @@ class Cube:
     def points(self) -> Iterator[KTuple]:
         """All p^k points of the Cartesian power, in lexicographic order."""
         return itertools.product(self.elements, repeat=self.k)
-
-    def contains(self, x: KTuple) -> bool:
-        elems = set(self.elements)
-        return len(x) == self.k and all(c in elems for c in x)
 
     def to_json_dict(self) -> dict:
         return {"elements": list(self.elements), "k": self.k}

@@ -140,15 +140,15 @@ def build_universe(spec: UniverseSpec) -> list[Domain]:
     return list(iter_universe(spec))
 
 
-def _rule_max(dom: list[KTuple]) -> dict[KTuple, int]:
+def _rule_max(dom: Domain) -> dict[KTuple, int]:
     return {x: max(x) for x in dom}
 
 
-def _rule_min(dom: list[KTuple]) -> dict[KTuple, int]:
+def _rule_min(dom: Domain) -> dict[KTuple, int]:
     return {x: min(x) for x in dom}
 
 
-def _rule_predmin(dom: list[KTuple]) -> dict[KTuple, int]:
+def _rule_predmin(dom: Domain) -> dict[KTuple, int]:
     # Minimum coordinate seen among x and all points below x's maximum: one
     # pass up the levels keeps the running minimum below each, starting
     # from the largest coordinate, which no min(x) exceeds.
@@ -159,12 +159,12 @@ def _rule_predmin(dom: list[KTuple]) -> dict[KTuple, int]:
     return {x: min(floors[max(x)], *x) for x in dom}
 
 
-def _rule_constmin(dom: list[KTuple]) -> dict[KTuple, int]:
+def _rule_constmin(dom: Domain) -> dict[KTuple, int]:
     low = field_of(dom)[0]
     return {x: low for x in dom}
 
 
-# Each rule maps a sorted, duplicate-free domain to its entries.
+# Each rule maps a domain to its entries, whatever the order of its points.
 _RULES = {
     "max": _rule_max,
     "min": _rule_min,
@@ -187,13 +187,11 @@ def iter_family(kind: str, universe: Iterable[Domain]) -> Iterator[FiniteFunctio
     rule = _RULES[kind]
     k = None
     for i, dom in enumerate(universe):
-        dom = tuple(tuple(t) for t in dom)
         if not dom:
             raise ValueError("universe domains must be nonempty")
         if k is None:
             k = len(dom[0])
-        entries = rule(sorted(frozenset(dom)))
-        yield FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=entries)
+        yield FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=rule(dom))
     if k is None:
         raise ValueError("cannot generate a family over an empty universe")
 

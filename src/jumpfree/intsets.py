@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .core import Cube, KTuple
-from .predicates import FiniteFunction
+from .core import Cube
+from .predicates import FiniteFunction, _cube_power
 
 ZIGZAG = "zigzag"
 ZIGZAG_NEG = "zigzagneg"
@@ -173,25 +173,6 @@ class IntMultiset:
         return f"IntMultiset({{{inner}}})"
 
 
-def classify_interval(f: FiniteFunction, cube: Cube, x: KTuple) -> int:
-    """Index of the interval holding f(x): 0, 1, or 2.
-
-    The middle interval [min(E), min(x)) depends on x; it is empty whenever
-    min(x) equals the cube minimum, so constant-diagonal points can only
-    land in 0 or 2.
-    """
-    if not cube.contains(x):
-        raise ValueError(f"point {x} lies outside the cube power")
-    if x not in f.entries:
-        raise ValueError(f"point {x} not in domain of {f.id}")
-    v = f(x)
-    if v < cube.min_element:
-        return INTERVAL_LOW
-    if v < min(x):
-        return INTERVAL_MID
-    return INTERVAL_HIGH
-
-
 def build_fh(
     f: FiniteFunction,
     cube: Cube,
@@ -216,24 +197,20 @@ def build_fh(
         raise ValueError("cube needs at least 2 elements")
     if cube.k != f.k:
         raise ValueError(f"cube arity {cube.k} does not match function arity {f.k}")
-    for x in cube.points():
-        if x not in f.entries:
-            raise ValueError(f"cube power not contained in domain of {f.id}: missing {x}")
-
-    if semantics == MULTISET:
-        full, partial = IntMultiset(), IntMultiset()
-        for x in cube.points():
-            i = classify_interval(f, cube, x)
-            z = gammas[i].apply(f(x))
-            full.add(z)
-            if i != INTERVAL_MID:
-                partial.add(z)
-        return full, partial
-
-    per_interval: list[set[int]] = [set(), set(), set()]
-    for x in cube.points():
-        per_interval[classify_interval(f, cube, x)].add(f(x))
-    images = [{gammas[i].apply(v) for v in per_interval[i]} for i in range(3)]
-    full = IntMultiset.from_values(sorted(images[0] | images[1] | images[2]))
-    partial = IntMultiset.from_values(sorted(images[0] | images[2]))
-    return full, partial
+    # Each value lands in [0, min(E)), [min(E), min(x)) or [min(x), oo).
+    low = cube.min_element
+    per_interval: list[list[int]] = [[], [], []]
+    for x in _cube_power(f, cube):
+        v = f(x)
+        if v < low:
+            per_interval[INTERVAL_LOW].append(v)
+        elif v < min(x):
+            per_interval[INTERVAL_MID].append(v)
+        else:
+            per_interval[INTERVAL_HIGH].append(v)
+    images = [[gammas[i].apply(v) for v in values] for i, values in enumerate(per_interval)]
+    full = images[INTERVAL_LOW] + images[INTERVAL_MID] + images[INTERVAL_HIGH]
+    partial = images[INTERVAL_LOW] + images[INTERVAL_HIGH]
+    if semantics == SET:
+        full, partial = set(full), set(partial)
+    return IntMultiset.from_values(full), IntMultiset.from_values(partial)

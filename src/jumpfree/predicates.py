@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Cube, KTuple, as_ktuple, field_of, is_nat, order_signature
+from .core import Cube, KTuple, field_of, is_nat, order_signature
 
 CASE1 = "case1"
 CASE2 = "case2"
@@ -24,9 +24,9 @@ VIOLATED = "violated"
 class FiniteFunction:
     """A finite association from points of N^k to values in N.
 
-    The domain is the set of entry keys; it is duplicate-free by
-    construction.  Values may be arbitrary nonnegative integers:
-    reflexivity is checked by is_reflexive(), never assumed, so
+    The domain is the set of entry keys, plain tuples of arity k; it is
+    duplicate-free by construction.  Values may be arbitrary nonnegative
+    integers: reflexivity is checked by is_reflexive(), never assumed, so
     non-reflexive functions can serve as counterexamples.  Treat
     instances as immutable once built.
     """
@@ -38,15 +38,19 @@ class FiniteFunction:
     def __post_init__(self) -> None:
         if not is_nat(self.k) or self.k < 1:
             raise ValueError(f"{self.id}: arity k must be an integer >= 1, got {self.k!r}")
-        normalized: dict[KTuple, int] = {}
+        self.entries = dict(self.entries)
         for t, v in self.entries.items():
-            t = as_ktuple(t)
+            if type(t) is not tuple:
+                raise ValueError(f"{self.id}: domain point {t!r} must be a tuple")
+            if not t:
+                raise ValueError("a point needs arity k >= 1")
+            for c in t:
+                if not is_nat(c):
+                    raise ValueError(f"coordinates must be nonnegative integers, got {c!r}")
             if len(t) != self.k:
                 raise ValueError(f"{self.id}: domain point {t} has arity {len(t)}, expected {self.k}")
             if not is_nat(v):
                 raise ValueError(f"{self.id}: value at {t} must be a nonnegative integer, got {v!r}")
-            normalized[t] = v
-        self.entries = normalized
 
     def __call__(self, x: KTuple) -> int:
         return self.entries[x]
@@ -260,9 +264,24 @@ def is_full_over(fam: Family, universe: Sequence[Iterable[KTuple]]):
     """
     covered = {frozenset(m.entries.keys()) for m in fam.members}
     for dom in universe:
-        if frozenset(tuple(t) for t in dom) not in covered:
+        if frozenset(dom) not in covered:
             return dom
     return None
+
+
+def _cube_power(f: FiniteFunction, cube: Cube) -> list[KTuple]:
+    """The points of the cube power in lexicographic order, checked to lie in
+    f's domain.  As p >= 2, p^k exceeds the domain size once 2^k does, so a
+    huge k is refused before any k-tuple is built."""
+    refusal = f"cube power not contained in domain of {f.id}"
+    size = len(f.entries)
+    if cube.k >= size.bit_length() or cube.p**cube.k > size:
+        raise ValueError(f"{refusal}: {cube.p}^{cube.k} points, domain has {size}")
+    points = list(cube.points())
+    for x in points:
+        if x not in f.entries:
+            raise ValueError(f"{refusal}: missing {x}")
+    return points
 
 
 def regressive_regularity(f: FiniteFunction, cube: Cube) -> RegularityReport:
@@ -282,9 +301,7 @@ def regressive_regularity(f: FiniteFunction, cube: Cube) -> RegularityReport:
         raise ValueError("cube needs at least 2 elements")
 
     classes: dict[KTuple, list[KTuple]] = {}
-    for x in cube.points():
-        if x not in f.entries:
-            raise ValueError(f"cube power not contained in domain of {f.id}: missing {x}")
+    for x in _cube_power(f, cube):
         classes.setdefault(order_signature(x), []).append(x)
 
     min_e = cube.min_element

@@ -25,7 +25,6 @@ from .intsets import DEFAULT_GAMMAS, GammaTriple, IntMultiset, build_fh
 from .predicates import FiniteFunction
 
 EXHAUSTIVE_MAX_TOTAL = 24
-DP_MAX_WEIGHT = 10**7
 DP_MAX_BITS = 2**28
 
 METHODS = ("exhaustive", "dp")
@@ -110,8 +109,6 @@ def _solve_dp(ms: IntMultiset) -> Optional[SubsetCertificate]:
         return SubsetCertificate(chosen=((0, 1),), sum=0)
     pairs = ms.items()
     weight = sum(abs(v) * m for v, m in pairs)
-    if weight > DP_MAX_WEIGHT:
-        raise CapacityError(f"dp table capped at weight {DP_MAX_WEIGHT}, got {weight}")
     bits = ms.total * (weight + 1)
     if bits > DP_MAX_BITS:
         raise CapacityError(f"dp prefixes capped at {DP_MAX_BITS} bits, got {bits}")
@@ -196,8 +193,6 @@ def run_corollary_experiment(
     the decisions agree, along with the p^k cardinality check and
     wall-clock solve timings.
     """
-    if p < 2:
-        raise ValueError("experiment requires cube size p >= 2")
     witness = find_regressively_regular_witness(members, p, k)
     if witness is None:
         return ExperimentReport(outcome=OUTCOME_NO_WITNESS, method=method, p=p)

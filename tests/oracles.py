@@ -8,7 +8,9 @@ import itertools
 import random
 from collections import Counter
 
-from jumpfree.predicates import JumpFreeWitness
+from jumpfree.families import _RULES
+from jumpfree.intsets import IntMultiset
+from jumpfree.predicates import Family, FiniteFunction, JumpFreeWitness
 from jumpfree.subsetsum import SubsetCertificate
 
 
@@ -56,6 +58,55 @@ def literal_universe(spec):
         size = rng.randint(1, min(spec.max_domain_size, len(grid)))
         domains.append(tuple(sorted(rng.sample(grid, size))))
     return list(dict.fromkeys(domains))
+
+
+def literal_gen_family(kind, universe):
+    """Copy each domain to tuples, deduplicate and sort it, then apply its rule."""
+    members = []
+    for i, dom in enumerate(universe):
+        points = sorted(frozenset(tuple(t) for t in dom))
+        entries = _RULES[kind](points)
+        members.append(FiniteFunction(id=f"{kind}-{i:03d}", k=len(points[0]), entries=entries))
+    return Family(k=members[0].k, members=tuple(members))
+
+
+def literal_interval(f, cube, x):
+    """Index 0, 1 or 2 of the interval [0, min(E)), [min(E), min(x)) or
+    [min(x), oo) holding f(x), after checking that x is a point of E^k in
+    f's domain."""
+    if len(x) != cube.k or not set(x) <= set(cube.elements):
+        raise ValueError(f"point {x} lies outside the cube power")
+    if x not in f.entries:
+        raise ValueError(f"point {x} not in domain of {f.id}")
+    if f(x) < min(cube.elements):
+        return 0
+    if f(x) < min(x):
+        return 1
+    return 2
+
+
+def literal_build_fh(f, cube, gammas, semantics):
+    """Classify and encode the points of E^k one at a time.
+
+    Under multiset semantics every point adds its image; under set
+    semantics each interval's values are deduplicated, encoded, and the
+    images united as plain sets.  The second result drops interval 1.
+    """
+    points = list(itertools.product(cube.elements, repeat=cube.k))
+    if semantics == "multiset":
+        full, partial = IntMultiset(), IntMultiset()
+        for x in points:
+            i = literal_interval(f, cube, x)
+            full.add(gammas[i].apply(f(x)))
+            if i != 1:
+                partial.add(gammas[i].apply(f(x)))
+        return full, partial
+    values = [set(), set(), set()]
+    for x in points:
+        values[literal_interval(f, cube, x)].add(f(x))
+    images = [{gammas[i].apply(v) for v in values[i]} for i in range(3)]
+    full = IntMultiset.from_values(images[0] | images[1] | images[2])
+    return full, IntMultiset.from_values(images[0] | images[2])
 
 
 def bijection_inverse(b, z):

@@ -1,5 +1,8 @@
 """Exit-code contract, output document shape, and replay determinism."""
 
+import contextlib
+import io
+import itertools
 import json
 import random
 import re
@@ -7,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import jumpfree.cli
 from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, build_parser, main
@@ -446,7 +451,6 @@ def test_malformed_family_document_exits_1(capsys, tmp_path, doc):
     assert "Traceback" not in captured.err
 
 
-
 _CUBE_FUNCTION = {"id": "f", "k": 2, "entries": [[[2, 2], 2], [[2, 5], 5], [[5, 2], 5], [[5, 5], 5]]}
 
 
@@ -481,3 +485,95 @@ def test_malformed_multiset_or_cube_document_exits_1(capsys, tmp_path, command, 
     assert captured.out == ""
     assert captured.err.startswith("jumpfree: error:")
     assert "Traceback" not in captured.err
+
+
+def _huge_arity_document(k):
+    return {"function": {"id": "f", "k": k, "entries": []}, "cube": {"elements": [0, 1], "k": k}}
+
+
+@pytest.mark.parametrize("k", [10**9, 3 * 10**7])
+@pytest.mark.parametrize("command", ["check-rr", "sets"])
+def test_huge_cube_arity_exits_1_with_one_short_line(capsys, tmp_path, command, k):
+    # A 2^k cube power cannot lie in an empty domain; it is refused before
+    # a single k-tuple is built.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_huge_arity_document(k)))
+    assert main([command, "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"jumpfree: error: cube power not contained in domain of f: 2^{k} points, domain has 0\n"
+    )
+
+
+# Leaves of every JSON type, ints on both sides of every guard.
+_LEAF = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([-(10**9), 10**9, 2**70]),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+_NAT = st.integers(0, 6)
+
+
+def _mostly(valid):
+    """valid nine times in ten, else any leaf, so most documents parse
+    and the checks behind the parser run too."""
+    return st.integers(0, 9).flatmap(lambda i: _LEAF if i == 0 else valid)
+
+
+def _function(entries, k):
+    return st.fixed_dictionaries(
+        {"id": _mostly(st.sampled_from("abcd")), "k": _mostly(st.just(k)), "entries": entries}
+    )
+
+
+_POINT = _mostly(st.lists(_mostly(_NAT), min_size=1, max_size=3))
+_ENTRIES = _mostly(st.lists(_mostly(st.tuples(_POINT, _mostly(_NAT)).map(list)), max_size=5))
+_FAMILY = st.fixed_dictionaries(
+    {"k": _mostly(st.just(2)), "members": _mostly(st.lists(_function(_ENTRIES, 2), max_size=3))}
+)
+
+
+@st.composite
+def _function_cube(draw):
+    # Every point of a small cube power, valued, plus stray entries; one
+    # point is sometimes dropped.
+    k = draw(st.integers(1, 3))
+    elements = draw(st.lists(_NAT, min_size=1, max_size=3, unique=True).map(sorted))
+    entries = [[list(x), draw(_mostly(_NAT))] for x in itertools.product(elements, repeat=k)]
+    entries += draw(st.lists(st.tuples(_POINT, _mostly(_NAT)).map(list), max_size=2))
+    if draw(st.booleans()):
+        del entries[0]
+    function = draw(_function(_mostly(st.just(entries)), k))
+    cube = {"elements": _mostly(st.just(elements)), "k": _mostly(st.just(k))}
+    return {"function": function, "cube": draw(st.fixed_dictionaries(cube))}
+
+
+_PAIR = st.tuples(_mostly(st.integers(-9, 9)), _mostly(st.integers(1, 3))).map(list)
+_MULTISET = _mostly(st.lists(_mostly(_PAIR), max_size=6))
+_FAMILY_COMMANDS = ["gen", "check-jumpfree", "check-full", "search", "experiment"]
+_CASES = st.one_of(
+    st.tuples(st.sampled_from(_FAMILY_COMMANDS), _FAMILY),
+    st.tuples(st.sampled_from(["check-rr", "sets"]), _function_cube()),
+    st.tuples(st.just("solve"), _MULTISET),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_CASES)
+@example(case=("check-rr", _huge_arity_document(10**9)))
+@example(case=("sets", _huge_arity_document(10**9)))
+def test_malformed_documents_keep_the_exit_contract(tmp_path_factory, case):
+    command, doc = case
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main([command, "--input", str(path)])
+    assert status in (EXIT_OK, EXIT_ERROR, EXIT_VIOLATION)
+    assert "Traceback" not in err.getvalue()
+    if status == EXIT_ERROR:
+        assert out.getvalue() == ""

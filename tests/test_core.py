@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from jumpfree.core import (
     Cube,
-    as_ktuple,
     cubes_in,
     enumerate_order_types,
     field_of,
@@ -19,16 +18,6 @@ from jumpfree.core import (
 from oracles import order_equivalent
 
 ktuples = st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=5).map(tuple)
-
-
-def test_as_ktuple_accepts_nonnegative_ints():
-    assert as_ktuple([3, 0, 7]) == (3, 0, 7)
-
-
-@pytest.mark.parametrize("bad", [[], [-1], [1.5, 2], [True, 2]])
-def test_as_ktuple_rejects_invalid(bad):
-    with pytest.raises((ValueError, TypeError)):
-        as_ktuple(bad)
 
 
 @pytest.mark.parametrize(
@@ -133,8 +122,6 @@ def test_cube_basics():
     assert cube.p == 2
     assert cube.min_element == 2
     assert list(cube.points()) == [(2, 2), (2, 5), (5, 2), (5, 5)]
-    assert cube.contains((5, 2))
-    assert not cube.contains((5, 3))
 
 
 def test_cube_points_count_and_order():

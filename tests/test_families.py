@@ -25,7 +25,7 @@ from jumpfree.predicates import (
     is_reflexive,
     jump_free_violation,
 )
-from oracles import literal_universe
+from oracles import literal_gen_family, literal_universe
 
 
 def spec(**overrides):
@@ -258,3 +258,19 @@ def test_streamed_search_matches_search_over_whole_family(
         return
     whole = find_regressively_regular_witness(gen_family(kind, universe).members, p, k)
     assert find_regressively_regular_witness(stream, p, k) == whole
+
+
+def _hand_made_universes(k):
+    # Points listed in any order, repeats allowed.
+    domain = st.lists(st.tuples(*[st.integers(0, 4)] * k), min_size=1, max_size=8)
+    return st.lists(domain.map(tuple), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(FAMILY_KINDS), universe=st.integers(1, 3).flatmap(_hand_made_universes))
+@example("predmin", [((2, 5), (0, 0), (2, 5), (1, 3)), ((1, 1),)])
+def test_gen_family_over_hand_made_domains_matches_normalising_oracle(kind, universe):
+    fam = gen_family(kind, universe)
+    want = literal_gen_family(kind, universe)
+    assert fam == want
+    assert fam.to_json_dict() == want.to_json_dict()

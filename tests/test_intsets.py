@@ -1,7 +1,7 @@
-"""Integer encodings, interval classification, and the paired multisets."""
+"""Integer encodings and the paired multisets, interval classification included."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpfree.core import Cube
@@ -11,10 +11,9 @@ from jumpfree.intsets import (
     IntMultiset,
     ZBijection,
     build_fh,
-    classify_interval,
 )
 from jumpfree.predicates import FiniteFunction
-from oracles import bijection_inverse
+from oracles import bijection_inverse, literal_build_fh
 
 
 def ff(entries, k=2):
@@ -106,18 +105,17 @@ def test_multiset_respects_multiplicity_in_equality():
     "x, value, expected",
     [((2, 5), 0, 0), ((5, 5), 3, 1), ((2, 5), 2, 2)],
 )
-def test_classify_interval_pinned(x, value, expected):
+def test_build_fh_names_each_interval(x, value, expected):
+    # Offsets 0, 100 and 200 make every image name its interval: the
+    # other points are valued 4, whose images are 198 and 98.
     cube = Cube(elements=(2, 5), k=2)
     entries = {pt: 4 for pt in cube.points()}
     entries[x] = value
-    assert classify_interval(ff(entries), cube, x) == expected
-
-
-def test_classify_interval_rejects_outside_point():
-    cube = Cube(elements=(2, 5), k=2)
-    f = ff({pt: 0 for pt in cube.points()})
-    with pytest.raises(ValueError):
-        classify_interval(f, cube, (2, 3))
+    gammas = GammaTriple.parse("shifted:0,shifted:100,shifted:200")
+    f_ms, h_ms = build_fh(ff(entries), cube, gammas=gammas)
+    image = ZBijection("zigzag").apply(value) + 100 * expected
+    assert f_ms.count(image) == 1
+    assert h_ms.count(image) == (0 if expected == 1 else 1)
 
 
 def test_build_fh_max_rule_pinned():
@@ -187,3 +185,33 @@ def test_fh_equal_pinned():
     b = IntMultiset.from_values([3, 3, -1, 3])
     assert a == b
     assert IntMultiset.from_values([0, 0]) != IntMultiset.from_values([0])
+
+
+_ENCODERS = st.sampled_from(["zigzag", "zigzagneg", "shifted:-3", "shifted:2"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(2, 3),
+    elements=st.lists(st.integers(0, 6), min_size=2, max_size=3, unique=True).map(sorted),
+    gamma=st.tuples(_ENCODERS, _ENCODERS, _ENCODERS).map(",".join),
+    semantics=st.sampled_from(["multiset", "set"]),
+)
+def test_build_fh_matches_per_point_oracle(data, k, elements, gamma, semantics):
+    # Values around the cube minimum and the points' own minima reach all
+    # three intervals; extra points lie off the cube, and a dropped point
+    # takes the cube out of the domain.
+    cube = Cube(tuple(elements), k)
+    domain = set(cube.points()) | set(
+        data.draw(st.lists(st.tuples(*[st.integers(0, 7)] * k), max_size=4))
+    )
+    if data.draw(st.booleans()):
+        domain.discard(data.draw(st.sampled_from(sorted(cube.points()))))
+    f = ff({x: data.draw(st.integers(0, 8)) for x in sorted(domain)}, k=k)
+    gammas = GammaTriple.parse(gamma)
+    if not set(cube.points()) <= domain:
+        with pytest.raises(ValueError, match="cube power not contained"):
+            build_fh(f, cube, gammas, semantics)
+        return
+    assert build_fh(f, cube, gammas, semantics) == literal_build_fh(f, cube, gammas, semantics)

@@ -40,6 +40,31 @@ def test_finite_function_rejects_bad_entries():
         FiniteFunction(id="f0", k=0, entries={})
 
 
+def test_finite_function_keeps_its_own_copy_of_valid_entries():
+    entries = {(3, 0, 7): 3}
+    f = FiniteFunction(id="f0", k=3, entries=entries)
+    entries[(1, 1, 1)] = 1
+    assert f.entries == {(3, 0, 7): 3}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((), "a point needs arity k >= 1"),
+        ((-1,), "coordinates must be nonnegative integers, got -1"),
+        ((1.5, 2), "coordinates must be nonnegative integers, got 1.5"),
+        ((True, 2), "coordinates must be nonnegative integers, got True"),
+        # Iterable but not a tuple: no longer read as the point (1, 2).
+        (b"\x01\x02", "f0: domain point b'\\x01\\x02' must be a tuple"),
+    ],
+    ids=["empty", "negative", "float", "bool", "bytes"],
+)
+def test_finite_function_rejects_invalid_points(bad, message):
+    with pytest.raises(ValueError) as info:
+        FiniteFunction(id="f0", k=2, entries={bad: 0})
+    assert str(info.value) == message
+
+
 def test_finite_function_json_round_trip():
     f = ff("f0", {(1, 2): 1, (0, 0): 0})
     data = f.to_json_dict()

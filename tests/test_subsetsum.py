@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from jumpfree.families import gen_family
 from jumpfree.intsets import GammaTriple, IntMultiset
 from jumpfree.subsetsum import (
-    DP_MAX_WEIGHT,
     EXHAUSTIVE_MAX_TOTAL,
     METHODS,
     CapacityError,
@@ -72,13 +71,15 @@ def test_exhaustive_capacity_guard():
 
 
 def test_dp_capacity_guard():
-    heavy = IntMultiset.from_pairs([[DP_MAX_WEIGHT + 1, 1]])
-    with pytest.raises(CapacityError):
+    # One item over 2^28 + 1 sums: over the bits budget before any allocation.
+    heavy = IntMultiset.from_pairs([[2**28, 1]])
+    with pytest.raises(CapacityError, match="bits"):
         solve_subset_sum(heavy, "dp")
 
 
 def test_dp_zero_shortcut_skips_weight_guard():
-    ms = IntMultiset.from_pairs([[DP_MAX_WEIGHT + 1, 1], [0, 1]])
+    # The zero element answers before the bits guard would refuse 2^28.
+    ms = IntMultiset.from_pairs([[2**28, 1], [0, 1]])
     cert = solve_subset_sum(ms, "dp")
     assert cert is not None
     assert cert.chosen == ((0, 1),)
