@@ -11,7 +11,7 @@ Usage: python scripts/family_sweep.py [--seeds 10] [--p 2] [--grid 4] ...
 """
 
 import argparse
-from dataclasses import dataclass
+from dataclasses import replace
 
 from jumpfree import (
     FAMILY_KINDS,
@@ -23,39 +23,22 @@ from jumpfree import (
 )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    k: int
-    grid: int
-    max_domain: int
-    samples: int
-    seeds: int
-    p: int
-
-
-def sweep(cfg: SweepConfig) -> None:
+def sweep(base: UniverseSpec, seeds: int, p: int) -> None:
+    """One row per (rule, seed), seeds 0..seeds-1 replacing base's seed."""
     print(
-        f"universe: k={cfg.k} grid={cfg.grid} max_domain={cfg.max_domain} "
-        f"samples={cfg.samples}, witness search at p={cfg.p}"
+        f"universe: k={base.k} grid={base.grid_bound} max_domain={base.max_domain_size} "
+        f"samples={base.sample_count}, witness search at p={p}"
     )
     header = f"{'rule':>9} {'seed':>5} {'domains':>8} {'jump-free':>10} {'witness':>24}"
     print(header)
     violations = {kind: 0 for kind in FAMILY_KINDS}
     for kind in FAMILY_KINDS:
-        for seed in range(cfg.seeds):
-            spec = UniverseSpec(
-                k=cfg.k,
-                grid_bound=cfg.grid,
-                max_domain_size=cfg.max_domain,
-                sample_count=cfg.samples,
-                seed=seed,
-                include_all_cubes=True,
-            )
-            universe = build_universe(spec)
+        for seed in range(seeds):
+            universe = build_universe(replace(base, seed=seed))
             fam = gen_family(kind, universe)
             bad = is_jump_free_family(fam)
             violations[kind] += bad is not None
-            witness = find_regressively_regular_witness(fam, cfg.p)
+            witness = find_regressively_regular_witness(fam, p)
             jf = "ok" if bad is None else f"x={bad.x}"
             found = (
                 "none"
@@ -65,7 +48,7 @@ def sweep(cfg: SweepConfig) -> None:
             print(f"{kind:>9} {seed:>5} {len(universe):>8} {jf:>10} {found:>24}")
     print()
     for kind in FAMILY_KINDS:
-        print(f"{kind}: jump-free violations on {violations[kind]}/{cfg.seeds} seeds")
+        print(f"{kind}: jump-free violations on {violations[kind]}/{seeds} seeds")
 
 
 def main() -> None:
@@ -77,16 +60,15 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, default=10, help="seeds 0..n-1")
     parser.add_argument("--p", type=int, default=2)
     args = parser.parse_args()
-    sweep(
-        SweepConfig(
-            k=args.k,
-            grid=args.grid,
-            max_domain=args.max_domain,
-            samples=args.samples,
-            seeds=args.seeds,
-            p=args.p,
-        )
+    base = UniverseSpec(
+        k=args.k,
+        grid_bound=args.grid,
+        max_domain_size=args.max_domain,
+        sample_count=args.samples,
+        seed=0,
+        include_all_cubes=True,
     )
+    sweep(base, args.seeds, args.p)
 
 
 if __name__ == "__main__":

@@ -43,14 +43,12 @@ from .predicates import (
     RegularityReport,
     is_full_over,
     is_jump_free_family,
-    is_reflexive,
     jump_free_violation,
     regressive_regularity,
 )
 from .subsetsum import (
     ExperimentReport,
     SubsetCertificate,
-    is_valid_certificate,
     run_corollary_experiment,
     solve_subset_sum,
 )

@@ -12,15 +12,16 @@ identical configs replay to identical reports up to timing fields.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .core import CapacityError, Cube
+from .core import CapacityError, Cube, JsonRecord
 from .families import (
     FAMILY_KINDS,
     Domain,
@@ -65,27 +66,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-# Config echo keys that differ from the field name; they match UniverseSpec's.
-_JSON_KEYS = {
-    "grid": "gridBound",
-    "max_domain": "maxDomainSize",
-    "samples": "sampleCount",
-    "cubes": "includeAllCubes",
-}
-
-
 @dataclass(frozen=True)
-class RunConfig:
-    """The fully resolved knobs of one run; sufficient for exact replay."""
+class RunConfig(JsonRecord):
+    """The fully resolved knobs of one run; sufficient for exact replay.
+    The universe fields take UniverseSpec's names."""
 
     command: str
     k: int = 2
     p: int = 2
-    grid: int = 4
-    max_domain: int = 8
-    samples: int = 50
+    grid_bound: int = 4
+    max_domain_size: int = 8
+    sample_count: int = 50
     seed: int = 0
-    cubes: bool = True
+    include_all_cubes: bool = True
     family: str = "max"
     gamma: str = "zigzag,zigzag,zigzag"
     semantics: str = MULTISET
@@ -93,18 +86,8 @@ class RunConfig:
     format: str = "json"
     input: Optional[str] = None
 
-    def to_json_dict(self) -> dict:
-        return {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
-
     def universe_spec(self) -> UniverseSpec:
-        return UniverseSpec(
-            k=self.k,
-            grid_bound=self.grid,
-            max_domain_size=self.max_domain,
-            sample_count=self.samples,
-            seed=self.seed,
-            include_all_cubes=self.cubes,
-        )
+        return UniverseSpec(**{f.name: getattr(self, f.name) for f in fields(UniverseSpec)})
 
 
 def _read_json(path: str):
@@ -113,6 +96,17 @@ def _read_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: document nested too deeply") from None
+
+
+@contextlib.contextmanager
+def _parsing(path: str, expected: str) -> Iterator[None]:
+    """A TypeError or KeyError raised while a document is read into records
+    means its structure is wrong; it is raised again as a ValueError that
+    names the file and what the file should hold."""
+    try:
+        yield
+    except (TypeError, KeyError):
+        raise ValueError(f"{path}: {expected}") from None
 
 
 def _load_family(cfg: RunConfig) -> tuple[Family, Optional[UniverseSpec], Optional[list[Domain]]]:
@@ -127,11 +121,10 @@ def _load_family(cfg: RunConfig) -> tuple[Family, Optional[UniverseSpec], Option
         universe = build_universe(spec)
         return gen_family(cfg.family, universe), spec, universe
     data = _read_json(cfg.input)
-    if isinstance(data, dict) and "members" in data:
+    with _parsing(cfg.input, "not a family document"):
+        if "members" not in data:
+            data = data["report"]["family"]
         return Family.from_json_dict(data), None, None
-    if isinstance(data, dict) and "report" in data and "family" in data["report"]:
-        return Family.from_json_dict(data["report"]["family"]), None, None
-    raise ValueError(f"{cfg.input}: not a family document")
 
 
 def _load_members(cfg: RunConfig) -> tuple[Iterable[FiniteFunction], int, Optional[UniverseSpec]]:
@@ -149,18 +142,19 @@ def _load_function_cube(cfg: RunConfig) -> tuple[FiniteFunction, Cube]:
     if cfg.input is None:
         raise ValueError(f"{cfg.command} requires --input with a function and cube document")
     data = _read_json(cfg.input)
-    if not isinstance(data, dict) or "function" not in data or "cube" not in data:
-        raise ValueError(f'{cfg.input}: expected {{"function": ..., "cube": ...}}')
-    return FiniteFunction.from_json_dict(data["function"]), Cube.from_json_dict(data["cube"])
+    with _parsing(cfg.input, 'expected {"function": ..., "cube": ...}'):
+        function, cube = data["function"], data["cube"]
+        return FiniteFunction.from_json_dict(function), Cube.from_json_dict(cube)
 
 
 def _load_multiset(cfg: RunConfig) -> IntMultiset:
     if cfg.input is None:
         raise ValueError("solve requires --input with a [[value, multiplicity], ...] document")
     data = _read_json(cfg.input)
-    if not isinstance(data, list):
-        raise ValueError(f"{cfg.input}: expected a [[value, multiplicity], ...] document")
-    return IntMultiset.from_pairs(data)
+    with _parsing(cfg.input, "expected a [[value, multiplicity], ...] document"):
+        if not isinstance(data, list):
+            raise TypeError("not a list")
+        return IntMultiset.from_pairs(data)
 
 
 Outcome = tuple[dict, Optional[dict]]
@@ -289,16 +283,33 @@ def _run_experiment(cfg: RunConfig) -> Outcome:
     return report, violation
 
 
-# argparse settings of each flag, keyed by its RunConfig field.  Defaults
-# live in RunConfig alone: subparsers suppress every flag not given.
+# argparse settings of each flag, keyed by its name; dest names the
+# RunConfig field where the two differ.  Defaults live in RunConfig alone:
+# subparsers suppress every flag not given.
 _FLAGS = {
     "k": {"type": int, "help": "tuple arity"},
     "p": {"type": int, "help": "cube side length"},
-    "grid": {"type": int, "help": "coordinates range over 0..grid-1"},
-    "max_domain": {"type": int, "help": "largest domain size in the universe"},
-    "samples": {"type": int, "help": "seeded random domains to add"},
+    "grid": {
+        "dest": "grid_bound",
+        "metavar": "GRID",
+        "type": int,
+        "help": "coordinates range over 0..grid-1",
+    },
+    "max_domain": {
+        "dest": "max_domain_size",
+        "metavar": "MAX_DOMAIN",
+        "type": int,
+        "help": "largest domain size in the universe",
+    },
+    "samples": {
+        "dest": "sample_count",
+        "metavar": "SAMPLES",
+        "type": int,
+        "help": "seeded random domains to add",
+    },
     "seed": {"type": int, "help": "seed for all randomness"},
     "cubes": {
+        "dest": "include_all_cubes",
         "action": argparse.BooleanOptionalAction,
         "help": "include all cube powers that fit the size bound",
     },

@@ -9,8 +9,9 @@ their own k >= 2 guards.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 KTuple = tuple[int, ...]
@@ -23,6 +24,28 @@ class CapacityError(Exception):
 def is_nat(v: object) -> bool:
     """Whether v is a nonnegative plain int; bool, float and str never pass."""
     return type(v) is int and v >= 0
+
+
+@functools.cache
+def _json_keys(cls: type) -> tuple[tuple[str, str], ...]:
+    """(field name, JSON key) of each field of a dataclass, in field order."""
+    keys = []
+    for f in fields(cls):
+        head, *words = f.name.split("_")
+        keys.append((f.name, head + "".join(w.capitalize() for w in words)))
+    return tuple(keys)
+
+
+def _json_value(v: object) -> object:
+    return [_json_value(e) for e in v] if isinstance(v, tuple) else v
+
+
+class JsonRecord:
+    """Mixin for a dataclass whose JSON object follows one rule: each
+    snake_case field name becomes a camelCase key, and tuples become lists."""
+
+    def to_json_dict(self) -> dict:
+        return {key: _json_value(getattr(self, name)) for name, key in _json_keys(type(self))}
 
 
 def order_signature(x: KTuple) -> KTuple:
@@ -67,7 +90,7 @@ def field_of(tuples: Iterable[KTuple]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Cube:
+class Cube(JsonRecord):
     """A strictly increasing element set E plus the arity k of its power E^k."""
 
     elements: tuple[int, ...]
@@ -95,9 +118,6 @@ class Cube:
     def points(self) -> Iterator[KTuple]:
         """All p^k points of the Cartesian power, in lexicographic order."""
         return itertools.product(self.elements, repeat=self.k)
-
-    def to_json_dict(self) -> dict:
-        return {"elements": list(self.elements), "k": self.k}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Cube":

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import CapacityError, Cube, KTuple, cubes_in, field_of
+from .core import CapacityError, Cube, JsonRecord, KTuple, cubes_in, field_of
 from .predicates import (
     Family,
     FiniteFunction,
@@ -28,15 +28,13 @@ from .predicates import (
     regressive_regularity,
 )
 
-FAMILY_KINDS = ("max", "min", "predmin", "constmin")
-
 Domain = tuple[KTuple, ...]
 
 UNIVERSE_MAX_POINTS = 10**7
 
 
 @dataclass(frozen=True)
-class UniverseSpec:
+class UniverseSpec(JsonRecord):
     """Reproducible recipe for a finite universe of domains.
 
     Coordinates range over 0..grid_bound-1.  When include_all_cubes is
@@ -61,16 +59,6 @@ class UniverseSpec:
             raise ValueError("max_domain_size must be >= 1")
         if self.sample_count < 0:
             raise ValueError("sample_count must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "gridBound": self.grid_bound,
-            "maxDomainSize": self.max_domain_size,
-            "sampleCount": self.sample_count,
-            "seed": self.seed,
-            "includeAllCubes": self.include_all_cubes,
-        }
 
 
 def _capped_power(base: int, exp: int, cap: int) -> int:
@@ -171,6 +159,7 @@ _RULES = {
     "predmin": _rule_predmin,
     "constmin": _rule_constmin,
 }
+FAMILY_KINDS = tuple(_RULES)
 
 
 def iter_family(kind: str, universe: Iterable[Domain]) -> Iterator[FiniteFunction]:
@@ -203,15 +192,9 @@ def gen_family(kind: str, universe: Iterable[Domain]) -> Family:
 
 
 @dataclass(frozen=True)
-class SearchStats:
+class SearchStats(JsonRecord):
     functions_examined: int
     cubes_examined: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "functionsExamined": self.functions_examined,
-            "cubesExamined": self.cubes_examined,
-        }
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable
 
 from .core import Cube
 from .predicates import FiniteFunction, _cube_power
@@ -107,17 +107,14 @@ DEFAULT_GAMMAS = GammaTriple(ZBijection(ZIGZAG), ZBijection(ZIGZAG), ZBijection(
 class IntMultiset:
     """Multiset of integers with explicit multiplicities.
 
-    Equality compares support and multiplicities; len() is the total size
+    Equality compares support and multiplicities; total is the size
     counting repeats.
     """
 
     __slots__ = ("_counts",)
 
-    def __init__(self, counts: Optional[Mapping[int, int]] = None):
+    def __init__(self) -> None:
         self._counts: Counter = Counter()
-        if counts:
-            for v, m in counts.items():
-                self.add(v, m)
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "IntMultiset":
@@ -154,15 +151,6 @@ class IntMultiset:
     def to_json(self) -> list[list[int]]:
         return [[v, m] for v, m in self.items()]
 
-    def __contains__(self, value: int) -> bool:
-        return self._counts[value] > 0
-
-    def __len__(self) -> int:
-        return self.total
-
-    def __bool__(self) -> bool:
-        return self.total > 0
-
     def __eq__(self, other) -> bool:
         if isinstance(other, IntMultiset):
             return self._counts == other._counts
@@ -191,12 +179,6 @@ def build_fh(
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}, expected one of {SEMANTICS}")
-    if f.k < 2:
-        raise ValueError("construction requires arity k >= 2")
-    if cube.p < 2:
-        raise ValueError("cube needs at least 2 elements")
-    if cube.k != f.k:
-        raise ValueError(f"cube arity {cube.k} does not match function arity {f.k}")
     # Each value lands in [0, min(E)), [min(E), min(x)) or [min(x), oo).
     low = cube.min_element
     per_interval: list[list[int]] = [[], [], []]

@@ -1,11 +1,10 @@
 """Decision procedures over finite functions on N^k.
 
-Covers reflexivity, the pairwise and family-wide jump-free checks,
-universe-relative fullness, and the per-order-type regressive-regularity
-classifier.  All checks are pure; counterexamples are returned as
-explicit witness records, and witness selection is canonical
-(enumeration order, then lexicographic point order) so serial and
-parallel callers agree.
+Covers the pairwise and family-wide jump-free checks, universe-relative
+fullness, and the per-order-type regressive-regularity classifier.  All
+checks are pure; counterexamples are returned as explicit witness
+records, and witness selection is canonical (enumeration order, then
+lexicographic point order) so serial and parallel callers agree.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Cube, KTuple, field_of, is_nat, order_signature
+from .core import Cube, JsonRecord, KTuple, is_nat, order_signature
 
 CASE1 = "case1"
 CASE2 = "case2"
@@ -26,9 +25,9 @@ class FiniteFunction:
 
     The domain is the set of entry keys, plain tuples of arity k; it is
     duplicate-free by construction.  Values may be arbitrary nonnegative
-    integers: reflexivity is checked by is_reflexive(), never assumed, so
-    non-reflexive functions can serve as counterexamples.  Treat
-    instances as immutable once built.
+    integers: no check here assumes reflexivity (every value a coordinate
+    of some domain point), so non-reflexive functions can serve as
+    counterexamples.  Treat instances as immutable once built.
     """
 
     id: str
@@ -64,10 +63,12 @@ class FiniteFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteFunction":
+        if type(data["id"]) is not str:
+            raise ValueError(f"function id must be a string, got {data['id']!r}")
         entries = {tuple(t): v for t, v in data["entries"]}
         if len(entries) < len(data["entries"]):
             raise ValueError(f"{data['id']}: a domain point is listed more than once")
-        return cls(id=str(data["id"]), k=data["k"], entries=entries)
+        return cls(id=data["id"], k=data["k"], entries=entries)
 
 
 @dataclass
@@ -107,7 +108,7 @@ class Family:
 
 
 @dataclass(frozen=True)
-class JumpFreeWitness:
+class JumpFreeWitness(JsonRecord):
     """A concrete refutation of the jump-free implication.
 
     At point x both functions are defined, the first one's predecessor set
@@ -124,15 +125,6 @@ class JumpFreeWitness:
     def __post_init__(self) -> None:
         if not self.value_a < self.value_b:
             raise ValueError("witness requires value_a < value_b")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "idA": self.id_a,
-            "idB": self.id_b,
-            "x": list(self.x),
-            "valueA": self.value_a,
-            "valueB": self.value_b,
-        }
 
 
 @dataclass(frozen=True)
@@ -188,12 +180,6 @@ class RegularityReport:
                 for sig, verdict in self.per_class.items()
             },
         }
-
-
-def is_reflexive(f: FiniteFunction) -> bool:
-    """Whether every value of f is a coordinate of some domain point."""
-    fld = set(field_of(f.entries))
-    return all(v in fld for v in f.entries.values())
 
 
 def jump_free_violation(fa: FiniteFunction, fb: FiniteFunction) -> Optional[JumpFreeWitness]:
@@ -271,8 +257,15 @@ def is_full_over(fam: Family, universe: Sequence[Iterable[KTuple]]):
 
 def _cube_power(f: FiniteFunction, cube: Cube) -> list[KTuple]:
     """The points of the cube power in lexicographic order, checked to lie in
-    f's domain.  As p >= 2, p^k exceeds the domain size once 2^k does, so a
-    huge k is refused before any k-tuple is built."""
+    f's domain, for k >= 2, a cube of f's arity and p >= 2.  As p >= 2, p^k
+    exceeds the domain size once 2^k does, so a huge k is refused before
+    any k-tuple is built."""
+    if f.k < 2:
+        raise ValueError("regressive regularity is defined for arity k >= 2")
+    if cube.k != f.k:
+        raise ValueError(f"cube arity {cube.k} does not match function arity {f.k}")
+    if cube.p < 2:
+        raise ValueError("cube needs at least 2 elements")
     refusal = f"cube power not contained in domain of {f.id}"
     size = len(f.entries)
     if cube.k >= size.bit_length() or cube.p**cube.k > size:
@@ -293,13 +286,6 @@ def regressive_regularity(f: FiniteFunction, cube: Cube) -> RegularityReport:
     order; violations record the first offending point.  Values need not
     be reflexive here.
     """
-    if f.k < 2:
-        raise ValueError("regressive regularity is defined for arity k >= 2")
-    if cube.k != f.k:
-        raise ValueError(f"cube arity {cube.k} does not match function arity {f.k}")
-    if cube.p < 2:
-        raise ValueError("cube needs at least 2 elements")
-
     classes: dict[KTuple, list[KTuple]] = {}
     for x in _cube_power(f, cube):
         classes.setdefault(order_signature(x), []).append(x)

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import CapacityError
+from .core import CapacityError, JsonRecord
 from .families import Family, WitnessResult, find_regressively_regular_witness
 from .intsets import DEFAULT_GAMMAS, GammaTriple, IntMultiset, build_fh
 from .predicates import FiniteFunction
@@ -34,7 +34,7 @@ OUTCOME_NO_WITNESS = "no_witness"
 
 
 @dataclass(frozen=True)
-class SubsetCertificate:
+class SubsetCertificate(JsonRecord):
     """A sub-multiset, as sorted (value, multiplicity-taken) pairs, and its sum."""
 
     chosen: tuple[tuple[int, int], ...]
@@ -49,22 +49,10 @@ class SubsetCertificate:
         if actual != self.sum:
             raise ValueError(f"certificate sum mismatch: stated {self.sum}, actual {actual}")
 
-    def to_json_dict(self) -> dict:
-        return {"chosen": [[v, m] for v, m in self.chosen], "sum": self.sum}
-
 
 def _certificate(counts: Counter) -> SubsetCertificate:
     chosen = tuple(sorted((v, m) for v, m in counts.items() if m > 0))
     return SubsetCertificate(chosen=chosen, sum=sum(v * m for v, m in chosen))
-
-
-def is_valid_certificate(cert: SubsetCertificate, ms: IntMultiset) -> bool:
-    """Nonempty, within the source multiplicities, and sums to zero."""
-    if not cert.chosen:
-        return False
-    if any(m < 1 or m > ms.count(v) for v, m in cert.chosen):
-        return False
-    return cert.sum == 0 and sum(v * m for v, m in cert.chosen) == 0
 
 
 def solve_subset_sum(ms: IntMultiset, method: str = "dp") -> Optional[SubsetCertificate]:

@@ -34,6 +34,20 @@ def order_equivalent(x, y):
     return eq_x == eq_y
 
 
+def is_reflexive(f):
+    """Whether every value of f is a coordinate of some domain point."""
+    return all(any(v in t for t in f.entries) for v in f.entries.values())
+
+
+def is_valid_certificate(cert, ms):
+    """Nonempty, within the source multiplicities, and sums to zero."""
+    if not cert.chosen:
+        return False
+    if any(m < 1 or m > ms.count(v) for v, m in cert.chosen):
+        return False
+    return cert.sum == 0 and sum(v * m for v, m in cert.chosen) == 0
+
+
 def predecessor_set(domain, x):
     """Points of the domain whose maximum coordinate is strictly below max(x)."""
     pts = set(domain)

@@ -22,8 +22,8 @@ from jumpfree.predicates import (
     is_jump_free_family,
     regressive_regularity,
 )
-from jumpfree.subsetsum import is_valid_certificate, solve_subset_sum
-from oracles import order_equivalent
+from jumpfree.subsetsum import solve_subset_sum
+from oracles import is_valid_certificate, order_equivalent
 
 
 class Criterion:

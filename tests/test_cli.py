@@ -487,6 +487,48 @@ def test_malformed_multiset_or_cube_document_exits_1(capsys, tmp_path, command, 
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, doc, expected",
+    [
+        pytest.param(
+            "check-rr",
+            {"function": dict(_CUBE_FUNCTION, entries=5), "cube": {"elements": [2, 5], "k": 2}},
+            'expected {"function": ..., "cube": ...}',
+            id="entries-not-a-list",
+        ),
+        pytest.param(
+            "solve",
+            [[1, 2], 3],
+            "expected a [[value, multiplicity], ...] document",
+            id="pair-not-a-list",
+        ),
+        pytest.param(
+            "check-jumpfree", {"report": "family"}, "not a family document", id="report-a-string"
+        ),
+    ],
+)
+def test_wrong_structure_names_the_file_and_document(capsys, tmp_path, command, doc, expected):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"jumpfree: error: {path}: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "ids", [[None], [7], [True], [["a"]], [7, "7"]], ids=["null", "int", "bool", "list", "int-str"]
+)
+def test_non_string_member_id_exits_1(capsys, tmp_path, ids):
+    doc = {"k": 2, "members": [dict(_member([[[1, 2], 2]]), id=i) for i in ids]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-jumpfree", "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"jumpfree: error: function id must be a string, got {ids[0]!r}\n"
+
+
 def _huge_arity_document(k):
     return {"function": {"id": "f", "k": k, "entries": []}, "cube": {"elements": [0, 1], "k": k}}
 

@@ -22,10 +22,9 @@ from jumpfree.predicates import (
     FiniteFunction,
     is_full_over,
     is_jump_free_family,
-    is_reflexive,
     jump_free_violation,
 )
-from oracles import literal_gen_family, literal_universe
+from oracles import is_reflexive, literal_gen_family, literal_universe
 
 
 def spec(**overrides):

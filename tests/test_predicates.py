@@ -15,11 +15,10 @@ from jumpfree.predicates import (
     JumpFreeWitness,
     is_full_over,
     is_jump_free_family,
-    is_reflexive,
     jump_free_violation,
     regressive_regularity,
 )
-from oracles import predecessor_set
+from oracles import is_reflexive, predecessor_set
 
 
 def ff(fid, entries, k=2):
