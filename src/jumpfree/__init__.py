@@ -14,7 +14,6 @@ from .core import (
     KTuple,
     cubes_in,
     enumerate_order_types,
-    field_of,
     order_signature,
 )
 from .families import (

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .core import CapacityError, Cube, JsonRecord
+from .core import CapacityError, Cube, JsonRecord, json_items
 from .families import (
     FAMILY_KINDS,
     Domain,
@@ -40,6 +40,7 @@ from .intsets import (
     build_fh,
 )
 from .predicates import (
+    VIOLATED,
     Family,
     FiniteFunction,
     is_full_over,
@@ -51,10 +52,6 @@ from .subsetsum import METHODS, run_corollary_experiment, solve_subset_sum
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
-
-# Commands taking --k and --p for cube-indexed machinery, which needs
-# k >= 2 and p >= 2.
-THEOREM_COMMANDS = ("search", "experiment")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,9 +149,7 @@ def _load_multiset(cfg: RunConfig) -> IntMultiset:
         raise ValueError("solve requires --input with a [[value, multiplicity], ...] document")
     data = _read_json(cfg.input)
     with _parsing(cfg.input, "expected a [[value, multiplicity], ...] document"):
-        if not isinstance(data, list):
-            raise TypeError("not a list")
-        return IntMultiset.from_pairs(data)
+        return IntMultiset.from_pairs(json_items(data))
 
 
 Outcome = tuple[dict, Optional[dict]]
@@ -191,37 +186,27 @@ def _run_check_full(cfg: RunConfig) -> Outcome:
         spec = cfg.universe_spec()
         universe = build_universe(spec)
     uncovered = is_full_over(fam, universe)
+    domain = None if uncovered is None else [list(t) for t in uncovered]
     report = {
         "universe": spec.to_json_dict(),
         "domainsChecked": len(universe),
         "members": len(fam),
         "full": uncovered is None,
-        "uncovered": None if uncovered is None else [list(t) for t in uncovered],
+        "uncovered": domain,
     }
-    violation = None
-    if uncovered is not None:
-        violation = {"kind": "uncoveredDomain", "domain": [list(t) for t in uncovered]}
-    return report, violation
+    return report, None if domain is None else {"kind": "uncoveredDomain", "domain": domain}
 
 
 def _run_check_rr(cfg: RunConfig) -> Outcome:
     f, cube = _load_function_cube(cfg)
-    rr = regressive_regularity(f, cube)
-    report = {
-        "functionId": f.id,
-        "cube": cube.to_json_dict(),
-        "report": rr.to_json_dict(),
-    }
-    violation = None
-    violated = rr.violated_classes()
-    if violated:
-        sig = violated[0]
-        violation = {
-            "kind": "irregularClass",
-            "signature": "(" + ",".join(map(str, sig)) + ")",
-            "verdict": rr.per_class[sig].to_json_dict(),
-        }
-    return report, violation
+    rr = regressive_regularity(f, cube).to_json_dict()
+    report = {"functionId": f.id, "cube": cube.to_json_dict(), "report": rr}
+    # perClass lists the classes in signature order.
+    violated = [(sig, v) for sig, v in rr["perClass"].items() if v["kind"] == VIOLATED]
+    if not violated:
+        return report, None
+    sig, verdict = violated[0]
+    return report, {"kind": "irregularClass", "signature": sig, "verdict": verdict}
 
 
 def _run_search(cfg: RunConfig) -> Outcome:
@@ -389,17 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.k < 1:
-        raise ValueError("--k must be >= 1")
-    if cfg.command in THEOREM_COMMANDS:
-        if cfg.k < 2:
-            raise ValueError(f"{cfg.command} requires --k >= 2")
-        if cfg.p < 2:
-            raise ValueError(f"{cfg.command} requires --p >= 2")
-    GammaTriple.parse(cfg.gamma)
-
-
 def _to_csv(report: dict) -> str:
     """Scalar report fields only; nested objects stay JSON-only."""
     scalars = {
@@ -419,7 +393,8 @@ def _to_csv(report: dict) -> str:
 
 def run(cfg: RunConfig) -> tuple[str, int]:
     """Rendered output document and exit status for one config."""
-    _validate(cfg)
+    if cfg.k < 1:
+        raise ValueError("--k must be >= 1")
     report, violation = COMMANDS[cfg.command].run(cfg)
     if cfg.format == "csv":
         text = _to_csv(report)

@@ -1,4 +1,4 @@
-"""Points of N^k, order signatures, coordinate fields, and cube detection.
+"""Points of N^k, order signatures, and cube detection.
 
 Everything here is finite and immutable: a point is a plain tuple of
 nonnegative ints, a cube is a sorted element set plus the arity of the
@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 KTuple = tuple[int, ...]
 
@@ -24,6 +24,15 @@ class CapacityError(Exception):
 def is_nat(v: object) -> bool:
     """Whether v is a nonnegative plain int; bool, float and str never pass."""
     return type(v) is int and v >= 0
+
+
+def json_items(v: object, length: Optional[int] = None) -> tuple:
+    """The items of a list or tuple, of the given length if one is given.
+    Anything else, a string or a mapping included, is a document of the
+    wrong structure and raises TypeError."""
+    if not isinstance(v, (list, tuple)) or length is not None and len(v) != length:
+        raise TypeError("expected a list" + ("" if length is None else f" of {length} items"))
+    return tuple(v)
 
 
 @functools.cache
@@ -73,22 +82,6 @@ def enumerate_order_types(k: int) -> list[KTuple]:
     return sorted({order_signature(t) for t in itertools.product(range(k), repeat=k)})
 
 
-def field_of(tuples: Iterable[KTuple]) -> tuple[int, ...]:
-    """Sorted set of all coordinates appearing in a collection of points.
-
-    Empty input yields the empty tuple; mixed arities are rejected.
-    """
-    coords: set[int] = set()
-    k = None
-    for t in tuples:
-        if k is None:
-            k = len(t)
-        elif len(t) != k:
-            raise ValueError(f"mixed arities in point set: {k} and {len(t)}")
-        coords.update(t)
-    return tuple(sorted(coords))
-
-
 @dataclass(frozen=True)
 class Cube(JsonRecord):
     """A strictly increasing element set E plus the arity k of its power E^k."""
@@ -121,7 +114,7 @@ class Cube(JsonRecord):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Cube":
-        return cls(tuple(data["elements"]), data["k"])
+        return cls(json_items(data["elements"]), data["k"])
 
 
 def cubes_in(domain: Iterable[KTuple], p: int) -> list[Cube]:
@@ -138,7 +131,7 @@ def cubes_in(domain: Iterable[KTuple], p: int) -> list[Cube]:
     if not points:
         return []
     k = len(next(iter(points)))
-    fld = field_of(points)
+    fld = sorted(set().union(*points))
 
     def extension_ok(partial: tuple[int, ...], e: int) -> bool:
         # Only points that use the new element need checking; the rest were

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import CapacityError, Cube, JsonRecord, KTuple, cubes_in, field_of
+from .core import CapacityError, Cube, JsonRecord, KTuple, cubes_in
 from .predicates import (
     Family,
     FiniteFunction,
@@ -71,6 +71,20 @@ def _capped_power(base: int, exp: int, cap: int) -> int:
     return result
 
 
+def _cube_sizes(spec: UniverseSpec) -> Iterator[tuple[int, int]]:
+    """Each element-set size of the universe's cube domains, none unless
+    include_all_cubes is set, with the size^k points of one such cube.
+    Sizes stop where that power passes max_domain_size, and the power is
+    never computed past that bound."""
+    if not spec.include_all_cubes:
+        return
+    for size in range(2, spec.grid_bound + 1):
+        power = _capped_power(size, spec.k, spec.max_domain_size)
+        if power > spec.max_domain_size:
+            return
+        yield size, power
+
+
 def _points_bound(spec: UniverseSpec, cap: int) -> int:
     """Upper bound on the points the universe materializes: the grid and
     every sampled domain at full size when samples are drawn, and every
@@ -80,13 +94,10 @@ def _points_bound(spec: UniverseSpec, cap: int) -> int:
     if spec.sample_count:  # the grid is built only to sample from
         grid_points = _capped_power(spec.grid_bound, spec.k, cap)
         bound = grid_points + spec.sample_count * min(spec.max_domain_size, grid_points)
-    size = 2
-    while spec.include_all_cubes and bound <= cap and size <= spec.grid_bound:
-        power = _capped_power(size, spec.k, cap)
-        if power > spec.max_domain_size:
+    for size, power in _cube_sizes(spec):
+        if bound > cap:
             break
         bound += math.comb(spec.grid_bound, size) * power
-        size += 1
     return bound
 
 
@@ -103,14 +114,11 @@ def iter_universe(spec: UniverseSpec) -> Iterator[Domain]:
         raise CapacityError(f"universe capped at {UNIVERSE_MAX_POINTS} points")
     seen: set[Domain] = set()
 
-    if spec.include_all_cubes:
-        size = 2
-        while size <= spec.grid_bound and size**spec.k <= spec.max_domain_size:
-            for elems in itertools.combinations(range(spec.grid_bound), size):
-                dom = tuple(itertools.product(elems, repeat=spec.k))
-                seen.add(dom)
-                yield dom
-            size += 1
+    for size, _ in _cube_sizes(spec):
+        for elems in itertools.combinations(range(spec.grid_bound), size):
+            dom = tuple(itertools.product(elems, repeat=spec.k))
+            seen.add(dom)
+            yield dom
 
     if spec.sample_count:  # draws index the grid in product's lexicographic order
         grid = list(itertools.product(range(spec.grid_bound), repeat=spec.k))
@@ -148,7 +156,7 @@ def _rule_predmin(dom: Domain) -> dict[KTuple, int]:
 
 
 def _rule_constmin(dom: Domain) -> dict[KTuple, int]:
-    low = field_of(dom)[0]
+    low = min(map(min, dom))
     return {x: low for x in dom}
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Cube
+from .core import Cube, json_items
 from .predicates import FiniteFunction, _cube_power
 
 ZIGZAG = "zigzag"
@@ -126,8 +126,8 @@ class IntMultiset:
     @classmethod
     def from_pairs(cls, pairs: Iterable[Iterable[int]]) -> "IntMultiset":
         ms = cls()
-        for v, m in pairs:
-            ms.add(v, m)
+        for pair in pairs:
+            ms.add(*json_items(pair, 2))
         return ms
 
     def add(self, value: int, multiplicity: int = 1) -> None:

@@ -4,7 +4,7 @@ Covers the pairwise and family-wide jump-free checks, universe-relative
 fullness, and the per-order-type regressive-regularity classifier.  All
 checks are pure; counterexamples are returned as explicit witness
 records, and witness selection is canonical (enumeration order, then
-lexicographic point order) so serial and parallel callers agree.
+lexicographic point order), so every run reports the same witness.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Cube, JsonRecord, KTuple, is_nat, order_signature
+from .core import Cube, JsonRecord, KTuple, is_nat, json_items, order_signature
 
 CASE1 = "case1"
 CASE2 = "case2"
@@ -65,7 +65,10 @@ class FiniteFunction:
     def from_json_dict(cls, data: dict) -> "FiniteFunction":
         if type(data["id"]) is not str:
             raise ValueError(f"function id must be a string, got {data['id']!r}")
-        entries = {tuple(t): v for t, v in data["entries"]}
+        try:
+            entries = {json_items(t): v for t, v in json_items(data["entries"])}
+        except ValueError:  # an entry that does not unpack into [point, value]
+            raise TypeError("entries must be [point, value] pairs") from None
         if len(entries) < len(data["entries"]):
             raise ValueError(f"{data['id']}: a domain point is listed more than once")
         return cls(id=data["id"], k=data["k"], entries=entries)
@@ -168,9 +171,6 @@ class RegularityReport:
 
     per_class: dict[KTuple, ClassVerdict]
     overall: bool
-
-    def violated_classes(self) -> list[KTuple]:
-        return [sig for sig, v in self.per_class.items() if v.kind == VIOLATED]
 
     def to_json_dict(self) -> dict:
         return {

@@ -315,9 +315,17 @@ def test_help_lists_exactly_the_command_flags(capsys, command, flags):
     assert build_parser() is build_parser()
 
 
-def test_theorem_commands_reject_k1(capsys):
-    assert main(["search", "--k", "1"]) == EXIT_ERROR
-    assert "requires --k >= 2" in capsys.readouterr().err
+def test_theorem_commands_reject_k1(capsys, monkeypatch):
+    # The witness search refuses k < 2 and p < 2 before it pulls a member.
+    built = []
+    monkeypatch.setattr(jumpfree.families, "FiniteFunction", lambda *a, **kw: built.append(a))
+    for command in ("search", "experiment"):
+        for flag, message in (("--k", "arity k >= 2"), ("--p", "cube size p >= 2")):
+            assert main([command, flag, "1"]) == EXIT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"jumpfree: error: witness search requires {message}\n"
+    assert built == []
 
 
 def test_capacity_error_exits_1(capsys, tmp_path):
@@ -487,23 +495,52 @@ def test_malformed_multiset_or_cube_document_exits_1(capsys, tmp_path, command, 
     assert "Traceback" not in captured.err
 
 
+_PAIRS_DOC = "expected a [[value, multiplicity], ...] document"
+_FUNCTION_CUBE_DOC = 'expected {"function": ..., "cube": ...}'
+
+
 @pytest.mark.parametrize(
     "command, doc, expected",
     [
         pytest.param(
             "check-rr",
             {"function": dict(_CUBE_FUNCTION, entries=5), "cube": {"elements": [2, 5], "k": 2}},
-            'expected {"function": ..., "cube": ...}',
+            _FUNCTION_CUBE_DOC,
             id="entries-not-a-list",
         ),
-        pytest.param(
-            "solve",
-            [[1, 2], 3],
-            "expected a [[value, multiplicity], ...] document",
-            id="pair-not-a-list",
-        ),
+        pytest.param("solve", [[1, 2], 3], _PAIRS_DOC, id="pair-not-a-list"),
         pytest.param(
             "check-jumpfree", {"report": "family"}, "not a family document", id="report-a-string"
+        ),
+        pytest.param("solve", [[1]], _PAIRS_DOC, id="pair-too-short"),
+        pytest.param("solve", [[1, 2, 3]], _PAIRS_DOC, id="pair-too-long"),
+        pytest.param("solve", ["ab"], _PAIRS_DOC, id="pair-a-string"),
+        pytest.param(
+            "check-jumpfree",
+            {"k": 2, "members": [_member([[[1, 2]]])]},
+            "not a family document",
+            id="entry-without-value",
+        ),
+        pytest.param(
+            "check-jumpfree",
+            {"k": 2, "members": [_member(["ab"])]},
+            "not a family document",
+            id="entry-a-string",
+        ),
+        pytest.param(
+            "check-rr",
+            {"function": _CUBE_FUNCTION, "cube": {"elements": "ab", "k": 2}},
+            _FUNCTION_CUBE_DOC,
+            id="elements-a-string",
+        ),
+        pytest.param(
+            "check-rr",
+            {
+                "function": dict(_CUBE_FUNCTION, entries=[[[1, 2], 1, 5]]),
+                "cube": {"elements": [2, 5], "k": 2},
+            },
+            _FUNCTION_CUBE_DOC,
+            id="entry-too-long",
         ),
     ],
 )

@@ -12,7 +12,6 @@ from jumpfree.core import (
     Cube,
     cubes_in,
     enumerate_order_types,
-    field_of,
     order_signature,
 )
 from oracles import order_equivalent
@@ -100,23 +99,6 @@ def test_enumerate_order_types_are_canonical():
             assert order_signature(sig) == sig
 
 
-@pytest.mark.parametrize(
-    "domain, expected",
-    [
-        ([(1, 2), (3, 1)], (1, 2, 3)),
-        ([], ()),
-        ([(4, 4)], (4,)),
-    ],
-)
-def test_field_of(domain, expected):
-    assert field_of(domain) == expected
-
-
-def test_field_of_rejects_mixed_arity():
-    with pytest.raises(ValueError):
-        field_of([(1, 2), (1, 2, 3)])
-
-
 def test_cube_basics():
     cube = Cube(elements=(2, 5), k=2)
     assert cube.p == 2
@@ -165,7 +147,7 @@ def _cubes_brute(domain, p):
         return []
     k = len(next(iter(pts)))
     out = []
-    for elems in itertools.combinations(field_of(list(pts)), p):
+    for elems in itertools.combinations(sorted({c for t in pts for c in t}), p):
         if all(t in pts for t in itertools.product(elems, repeat=k)):
             out.append(elems)
     return out

@@ -1,6 +1,7 @@
 """Universe generation, rule families, and the regularity witness search."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -89,6 +90,19 @@ def test_universe_guard_bounds_the_points_built(monkeypatch, overrides):
     monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", points - 1)
     with pytest.raises(CapacityError, match="universe"):
         build_universe(s)
+
+
+def test_universe_with_huge_arity_never_builds_the_power():
+    # 2^k passes max_domain_size after four factors, so no cube size fits
+    # and 2^k is never computed in full.
+    s = spec(k=10**8, grid_bound=4, max_domain_size=8)
+    tracemalloc.start()
+    try:
+        assert list(iter_universe(s)) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_build_universe_empty_when_nothing_requested():
