@@ -28,7 +28,6 @@ from .families import (
     UniverseSpec,
     build_universe,
     find_regressively_regular_witness,
-    gen_family,
     iter_family,
     iter_universe,
 )
@@ -87,59 +86,45 @@ class RunConfig(JsonRecord):
         return UniverseSpec(**{f.name: getattr(self, f.name) for f in fields(UniverseSpec)})
 
 
-def _read_json(path: str):
+@contextlib.contextmanager
+def _reading(path: str, expected: str) -> Iterator:
+    """The JSON document at path.  A TypeError or KeyError raised while the
+    body reads it into records means its structure is wrong; it is raised
+    again as a ValueError that names the file and what it should hold."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: document nested too deeply") from None
-
-
-@contextlib.contextmanager
-def _parsing(path: str, expected: str) -> Iterator[None]:
-    """A TypeError or KeyError raised while a document is read into records
-    means its structure is wrong; it is raised again as a ValueError that
-    names the file and what the file should hold."""
     try:
-        yield
+        yield data
     except (TypeError, KeyError):
         raise ValueError(f"{path}: {expected}") from None
 
 
-def _load_family(cfg: RunConfig) -> tuple[Family, Optional[UniverseSpec], Optional[list[Domain]]]:
-    """Family from --input when given, else generated from the universe flags.
-
-    Input files may be a bare family document or a previous run's output
-    wrapping one under report.family.  Only a generated family comes with
-    the spec and universe it was generated from.
-    """
+def _load_members(
+    cfg: RunConfig, universe: Optional[list[Domain]] = None
+) -> tuple[Iterable[FiniteFunction], int, Optional[dict]]:
+    """Members from --input, a family document bare or wrapped under
+    report.family, else generated from the universe flags, with their
+    arity k and the universe spec's JSON (None for --input).  Generated
+    members come as a stream, over universe when the caller has built it,
+    so a search stops generation at its witness."""
     if cfg.input is None:
         spec = cfg.universe_spec()
-        universe = build_universe(spec)
-        return gen_family(cfg.family, universe), spec, universe
-    data = _read_json(cfg.input)
-    with _parsing(cfg.input, "not a family document"):
+        domains = iter_universe(spec) if universe is None else universe
+        return iter_family(cfg.family, domains), spec.k, spec.to_json_dict()
+    with _reading(cfg.input, "not a family document") as data:
         if "members" not in data:
             data = data["report"]["family"]
-        return Family.from_json_dict(data), None, None
-
-
-def _load_members(cfg: RunConfig) -> tuple[Iterable[FiniteFunction], int, Optional[UniverseSpec]]:
-    """Members for the witness search, their arity k, and the spec of a
-    generated family.  Generated members come as a stream, so the search
-    stops generation at its witness."""
-    if cfg.input is None:
-        spec = cfg.universe_spec()
-        return iter_family(cfg.family, iter_universe(spec)), spec.k, spec
-    fam, _, _ = _load_family(cfg)
+        fam = Family.from_json_dict(data)
     return fam.members, fam.k, None
 
 
 def _load_function_cube(cfg: RunConfig) -> tuple[FiniteFunction, Cube]:
     if cfg.input is None:
         raise ValueError(f"{cfg.command} requires --input with a function and cube document")
-    data = _read_json(cfg.input)
-    with _parsing(cfg.input, 'expected {"function": ..., "cube": ...}'):
+    with _reading(cfg.input, 'expected {"function": ..., "cube": ...}') as data:
         function, cube = data["function"], data["cube"]
         return FiniteFunction.from_json_dict(function), Cube.from_json_dict(cube)
 
@@ -147,8 +132,7 @@ def _load_function_cube(cfg: RunConfig) -> tuple[FiniteFunction, Cube]:
 def _load_multiset(cfg: RunConfig) -> IntMultiset:
     if cfg.input is None:
         raise ValueError("solve requires --input with a [[value, multiplicity], ...] document")
-    data = _read_json(cfg.input)
-    with _parsing(cfg.input, "expected a [[value, multiplicity], ...] document"):
+    with _reading(cfg.input, "expected a [[value, multiplicity], ...] document") as data:
         return IntMultiset.from_pairs(json_items(data))
 
 
@@ -156,9 +140,10 @@ Outcome = tuple[dict, Optional[dict]]
 
 
 def _run_gen(cfg: RunConfig) -> Outcome:
-    fam, spec, _ = _load_family(cfg)
+    members, k, universe = _load_members(cfg)
+    fam = Family(k, tuple(members))
     report = {
-        "universe": None if spec is None else spec.to_json_dict(),
+        "universe": universe,
         "family": fam.to_json_dict(),
         "members": len(fam),
     }
@@ -166,10 +151,11 @@ def _run_gen(cfg: RunConfig) -> Outcome:
 
 
 def _run_check_jumpfree(cfg: RunConfig) -> Outcome:
-    fam, spec, _ = _load_family(cfg)
+    members, k, universe = _load_members(cfg)
+    fam = Family(k, tuple(members))
     witness = is_jump_free_family(fam)
     report = {
-        "universe": None if spec is None else spec.to_json_dict(),
+        "universe": universe,
         "members": len(fam),
         "pairsChecked": len(fam) ** 2,
         "jumpFree": witness is None,
@@ -181,10 +167,12 @@ def _run_check_jumpfree(cfg: RunConfig) -> Outcome:
 def _run_check_full(cfg: RunConfig) -> Outcome:
     # Fullness is relative to an explicit universe, so the universe is
     # always built from the flags and surfaced, even for input families.
-    fam, spec, universe = _load_family(cfg)
-    if universe is None:
-        spec = cfg.universe_spec()
-        universe = build_universe(spec)
+    spec = cfg.universe_spec()
+    universe = build_universe(spec)
+    members, k, _ = _load_members(cfg, universe)
+    if k != spec.k:
+        raise ValueError(f"family arity {k} does not match the universe arity {spec.k} (--k)")
+    fam = Family(k, tuple(members))
     uncovered = is_full_over(fam, universe)
     domain = None if uncovered is None else [list(t) for t in uncovered]
     report = {
@@ -210,10 +198,10 @@ def _run_check_rr(cfg: RunConfig) -> Outcome:
 
 
 def _run_search(cfg: RunConfig) -> Outcome:
-    members, k, spec = _load_members(cfg)
+    members, k, universe = _load_members(cfg)
     witness = find_regressively_regular_witness(members, cfg.p, k)
     report = {
-        "universe": None if spec is None else spec.to_json_dict(),
+        "universe": universe,
         "p": cfg.p,
         "found": witness is not None,
         "witness": None if witness is None else witness.to_json_dict(),
@@ -250,11 +238,10 @@ def _run_solve(cfg: RunConfig) -> Outcome:
 
 
 def _run_experiment(cfg: RunConfig) -> Outcome:
-    members, k, spec = _load_members(cfg)
+    members, k, universe = _load_members(cfg)
     gammas = GammaTriple.parse(cfg.gamma)
     result = run_corollary_experiment(members, cfg.p, gammas=gammas, method=cfg.method, k=k)
-    report = result.to_json_dict()
-    report["universe"] = None if spec is None else spec.to_json_dict()
+    report = {**result.to_json_dict(), "universe": universe}
     violation = None
     if result.outcome == "ok" and not (
         result.fh_equal and result.agreement and result.cardinality_ok

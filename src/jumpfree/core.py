@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 KTuple = tuple[int, ...]
 
@@ -69,17 +69,34 @@ def order_signature(x: KTuple) -> KTuple:
     return tuple(ranks[v] for v in x)
 
 
+@functools.cache
+def order_layout(p: int, k: int) -> tuple[tuple[KTuple, tuple[int, ...]], ...]:
+    """Each order signature realized in E^k, in lexicographic order, with
+    the positions of its points in E^k's lexicographic order.  For any
+    increasing E of p elements a point has its index tuple's order type,
+    so this is computed once per (p, k)."""
+    classes: dict[KTuple, list[int]] = {}
+    for i, t in enumerate(itertools.product(range(p), repeat=k)):
+        classes.setdefault(order_signature(t), []).append(i)
+    return tuple((sig, tuple(classes[sig])) for sig in sorted(classes))
+
+
 def enumerate_order_types(k: int) -> list[KTuple]:
     """All order signatures of arity k, in lexicographic order.
 
-    Points over {0, ..., k-1} realize every class (a signature is its own
-    representative), so brute force over that grid is exhaustive.  The
-    count is the number of ordered set partitions of k items; k^k is a
-    coarse upper bound.
+    k elements realize every order type of arity k, so these are the
+    signatures of the (k, k) layout, built uncached so that its k^k points
+    are not kept.  The count is the number of ordered set partitions of k
+    items; k^k is a coarse upper bound.
     """
     if k < 1:
         raise ValueError("arity k must be >= 1")
-    return sorted({order_signature(t) for t in itertools.product(range(k), repeat=k)})
+    return [sig for sig, _ in order_layout.__wrapped__(k, k)]
+
+
+def power_exceeds(p: int, k: int, size: int) -> bool:
+    """Whether p^k > size, for p >= 2; 2^k passes size before a huge power is computed."""
+    return k >= size.bit_length() or p**k > size
 
 
 @dataclass(frozen=True)
@@ -117,43 +134,45 @@ class Cube(JsonRecord):
         return cls(json_items(data["elements"]), data["k"])
 
 
-def cubes_in(domain: Iterable[KTuple], p: int) -> list[Cube]:
-    """Every cube of p elements whose full Cartesian power lies inside domain.
+def iter_cubes(
+    domain: Iterable[KTuple], p: int, charge: Optional[Callable[[int], None]] = None
+) -> Iterator[Cube]:
+    """Every cube of p elements whose full Cartesian power lies inside
+    domain, made as the consumer asks for it.
 
     Backtracks over the sorted field of the domain; a partial element set is
     abandoned as soon as one of the points it requires is absent.  Results
     come in lexicographic order of the element sets, which keeps every
-    downstream search deterministic.
+    downstream search deterministic.  charge, when given, is called with
+    the number of points each extension may look up, before it looks.
     """
     if p < 1:
         raise ValueError("cube size p must be >= 1")
     points = set(domain)
-    if not points:
-        return []
-    k = len(next(iter(points)))
+    k = len(next(iter(points), ()))
+    if not points or p > 1 and power_exceeds(p, k, len(points)):
+        return  # no room for the p^k points of a cube
     fld = sorted(set().union(*points))
 
-    def extension_ok(partial: tuple[int, ...], e: int) -> bool:
-        # Only points that use the new element need checking; the rest were
-        # validated when the partial set was built.
-        cand = partial + (e,)
-        for t in itertools.product(cand, repeat=k):
-            if e in t and t not in points:
-                return False
-        return True
-
-    found: list[Cube] = []
-
-    def extend(partial: tuple[int, ...], start: int) -> None:
+    def extend(partial: tuple[int, ...], start: int) -> Iterator[Cube]:
         if len(partial) == p:
-            found.append(Cube(partial, k))
+            yield Cube(partial, k)
             return
-        for i in range(start, len(fld)):
-            if len(fld) - i < p - len(partial):
-                break
+        for i in range(start, len(fld) - p + len(partial) + 1):
             e = fld[i]
-            if extension_ok(partial, e):
-                extend(partial + (e,), i + 1)
+            cand = partial + (e,)
+            if charge is not None:
+                charge(len(cand) ** k - len(partial) ** k)
+            # Points without e were checked when partial was built.
+            for t in itertools.product(cand, repeat=k):
+                if e in t and t not in points:
+                    break
+            else:
+                yield from extend(cand, i + 1)
 
-    extend((), 0)
-    return found
+    yield from extend((), 0)
+
+
+def cubes_in(domain: Iterable[KTuple], p: int) -> list[Cube]:
+    """Every cube iter_cubes makes, as a list."""
+    return list(iter_cubes(domain, p))

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .core import CapacityError, Cube, JsonRecord, KTuple, cubes_in
+from .core import CapacityError, Cube, JsonRecord, KTuple, iter_cubes, power_exceeds
 from .predicates import (
     Family,
     FiniteFunction,
@@ -61,28 +61,17 @@ class UniverseSpec(JsonRecord):
             raise ValueError("sample_count must be >= 0")
 
 
-def _capped_power(base: int, exp: int, cap: int) -> int:
-    """base**exp for base >= 2, or cap + 1 once it passes cap."""
-    result = 1
-    for _ in range(exp):
-        result *= base
-        if result > cap:
-            return cap + 1
-    return result
-
-
 def _cube_sizes(spec: UniverseSpec) -> Iterator[tuple[int, int]]:
     """Each element-set size of the universe's cube domains, none unless
     include_all_cubes is set, with the size^k points of one such cube.
-    Sizes stop where that power passes max_domain_size, and the power is
-    never computed past that bound."""
+    Sizes stop where that power passes max_domain_size, which a huge k
+    shows before any power is computed."""
     if not spec.include_all_cubes:
         return
     for size in range(2, spec.grid_bound + 1):
-        power = _capped_power(size, spec.k, spec.max_domain_size)
-        if power > spec.max_domain_size:
+        if power_exceeds(size, spec.k, spec.max_domain_size):
             return
-        yield size, power
+        yield size, size**spec.k
 
 
 def _points_bound(spec: UniverseSpec, cap: int) -> int:
@@ -92,7 +81,8 @@ def _points_bound(spec: UniverseSpec, cap: int) -> int:
     cost nothing to reject."""
     bound = 0
     if spec.sample_count:  # the grid is built only to sample from
-        grid_points = _capped_power(spec.grid_bound, spec.k, cap)
+        grid, k = spec.grid_bound, spec.k
+        grid_points = cap + 1 if power_exceeds(grid, k, cap) else grid**k
         bound = grid_points + spec.sample_count * min(spec.max_domain_size, grid_points)
     for size, power in _cube_sizes(spec):
         if bound > cap:
@@ -243,7 +233,9 @@ def find_regressively_regular_witness(
     family is built only up to its first witness.  k is the members'
     arity; left out, it is members.k and a whole Family is scanned.
     Returns None when the members are exhausted; over a truncated universe
-    that outcome carries no meaning beyond the scanned scope.
+    that outcome carries no meaning beyond the scanned scope.  Points looked
+    up to enumerate cubes and the p^k classified per cube share one budget,
+    UNIVERSE_MAX_POINTS; CapacityError is raised before work past it.
     """
     if p < 2:
         raise ValueError("witness search requires cube size p >= 2")
@@ -251,12 +243,18 @@ def find_regressively_regular_witness(
         members, k = members.members, members.k
     if k < 2:
         raise ValueError("witness search requires arity k >= 2")
-    functions_examined = 0
-    cubes_examined = 0
-    for f in members:
-        functions_examined += 1
-        for cube in cubes_in(f.entries.keys(), p):
+    cubes_examined = work = 0
+
+    def charge(points: int) -> None:
+        nonlocal work
+        work += points
+        if work > UNIVERSE_MAX_POINTS:
+            raise CapacityError(f"witness search capped at {UNIVERSE_MAX_POINTS} points of work")
+
+    for functions_examined, f in enumerate(members, 1):
+        for cube in iter_cubes(f.entries, p, charge):
             cubes_examined += 1
+            charge(p**k)
             report = regressive_regularity(f, cube)
             if report.overall:
                 stats = SearchStats(functions_examined, cubes_examined)

@@ -11,6 +11,7 @@ regularity guarantees.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -67,15 +68,14 @@ class ZBijection:
 
     @classmethod
     def parse(cls, text: str) -> "ZBijection":
-        """Parse "zigzag", "zigzagneg", or "shifted:<offset>"."""
-        text = text.strip().lower()
-        if text == ZIGZAG:
-            return cls(ZIGZAG)
-        if text == ZIGZAG_NEG:
-            return cls(ZIGZAG_NEG)
-        if text.startswith(SHIFTED + ":"):
-            return cls(SHIFTED, int(text.split(":", 1)[1]))
-        raise ValueError(f"cannot parse bijection {text!r}")
+        """Parse "zigzag", "zigzagneg", or "shifted:<offset>", spelled
+        exactly so, with an offset of ASCII digits and an optional minus."""
+        if text in (ZIGZAG, ZIGZAG_NEG):
+            return cls(text)
+        shifted = re.fullmatch(SHIFTED + ":(-?[0-9]+)", text)
+        if shifted is None:
+            raise ValueError(f"cannot parse bijection {text!r}")
+        return cls(SHIFTED, int(shifted[1]))
 
 
 @dataclass(frozen=True)

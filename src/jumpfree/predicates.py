@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Cube, JsonRecord, KTuple, is_nat, json_items, order_signature
+from .core import Cube, JsonRecord, KTuple, is_nat, json_items, order_layout, power_exceeds
 
 CASE1 = "case1"
 CASE2 = "case2"
@@ -268,7 +268,7 @@ def _cube_power(f: FiniteFunction, cube: Cube) -> list[KTuple]:
         raise ValueError("cube needs at least 2 elements")
     refusal = f"cube power not contained in domain of {f.id}"
     size = len(f.entries)
-    if cube.k >= size.bit_length() or cube.p**cube.k > size:
+    if power_exceeds(cube.p, cube.k, size):
         raise ValueError(f"{refusal}: {cube.p}^{cube.k} points, domain has {size}")
     points = list(cube.points())
     for x in points:
@@ -284,16 +284,13 @@ def regressive_regularity(f: FiniteFunction, cube: Cube) -> RegularityReport:
     minimum element, or have every point's value at least that point's own
     minimum coordinate.  Classes are processed in lexicographic signature
     order; violations record the first offending point.  Values need not
-    be reflexive here.
+    be reflexive here.  The classes come from the cube's (p, k) layout.
     """
-    classes: dict[KTuple, list[KTuple]] = {}
-    for x in _cube_power(f, cube):
-        classes.setdefault(order_signature(x), []).append(x)
-
+    points = _cube_power(f, cube)
     min_e = cube.min_element
     per_class: dict[KTuple, ClassVerdict] = {}
-    for sig in sorted(classes):
-        xs = classes[sig]
+    for sig, positions in order_layout(cube.p, cube.k):
+        xs = [points[i] for i in positions]
         values = [f(x) for x in xs]
         if len(set(values)) == 1 and values[0] < min_e:
             per_class[sig] = ClassVerdict(kind=CASE1, value=values[0])
@@ -301,11 +298,8 @@ def regressive_regularity(f: FiniteFunction, cube: Cube) -> RegularityReport:
             per_class[sig] = ClassVerdict(kind=CASE2)
         else:
             offender = next(x for x in xs if f(x) < min(x))
-            conflict = None
-            if len(set(values)) > 1:
-                first = (xs[0], values[0])
-                other = next((x, v) for x, v in zip(xs, values) if v != values[0])
-                conflict = (first, other)
+            other = next(((x, v) for x, v in zip(xs, values) if v != values[0]), None)
+            conflict = None if other is None else ((xs[0], values[0]), other)
             per_class[sig] = ClassVerdict(
                 kind=VIOLATED,
                 offender=offender,

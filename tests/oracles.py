@@ -8,6 +8,7 @@ import itertools
 import random
 from collections import Counter
 
+from jumpfree.core import order_signature
 from jumpfree.families import _RULES
 from jumpfree.intsets import IntMultiset
 from jumpfree.predicates import Family, FiniteFunction, JumpFreeWitness
@@ -32,6 +33,41 @@ def order_equivalent(x, y):
     eq_x = {(i, j) for i in idx for j in idx if x[i] == x[j]}
     eq_y = {(i, j) for i in idx for j in idx if y[i] == y[j]}
     return eq_x == eq_y
+
+
+def literal_order_types(k):
+    """Every signature of a point of {0, ..., k-1}^k, sorted: k values
+    realize every order type of arity k, so the k^k grid is exhaustive."""
+    return sorted({order_signature(t) for t in itertools.product(range(k), repeat=k)})
+
+
+def literal_search_work(members, p):
+    """The work a witness search over members charges when no member has
+    a witness: every element set S the cube backtracking tries costs the
+    |S|^k - (|S|-1)^k points of its power that hold its last element, and
+    every cube costs its p^k classified points.
+
+    The backtracking tries S, whose last element is field[i], exactly when
+    the power of S minus that element lies in the domain and p - |S|
+    larger field elements are left; it tries nothing when p^k exceeds the
+    domain size.
+    """
+    work = 0
+    for f in members:
+        domain, k = set(f.entries), f.k
+        if p**k > len(domain):
+            continue
+        field = sorted({c for t in domain for c in t})
+        for size in range(1, p + 1):
+            for elements in itertools.combinations(field, size):
+                room = len(field) - field.index(elements[-1]) - 1
+                head = itertools.product(elements[:-1], repeat=k)
+                if room >= p - size and all(t in domain for t in head):
+                    work += size**k - (size - 1) ** k
+        for elements in itertools.combinations(field, p):
+            if all(t in domain for t in itertools.product(elements, repeat=k)):
+                work += p**k
+    return work
 
 
 def is_reflexive(f):

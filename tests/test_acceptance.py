@@ -23,7 +23,7 @@ from jumpfree.predicates import (
     regressive_regularity,
 )
 from jumpfree.subsetsum import solve_subset_sum
-from oracles import is_valid_certificate, order_equivalent
+from oracles import is_valid_certificate, literal_order_types, order_equivalent
 
 
 class Criterion:
@@ -71,6 +71,7 @@ def test_criterion_1_order_type_suite():
         for k, expected in [(1, 1), (2, 3), (3, 13), (4, 75)]:
             assert len(enumerate_order_types(k)) == expected
         for k in range(1, 6):
+            assert enumerate_order_types(k) == literal_order_types(k)
             assert len(enumerate_order_types(k)) <= k**k
 
 

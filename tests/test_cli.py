@@ -351,6 +351,66 @@ def test_universe_guard_trips_before_allocation(capsys, argv):
     assert captured.err.startswith("jumpfree: capacity: universe")
 
 
+@pytest.mark.parametrize("command", ["search", "experiment"])
+def test_search_past_its_work_budget_exits_1_with_one_capacity_line(
+    capsys, monkeypatch, tmp_path, command
+):
+    # Every 3-cube of the grid is examined and none is a witness.
+    grid = itertools.product(range(6), repeat=2)
+    entries = [[list(x), max(min(x) - 1, 0)] for x in grid]
+    path = tmp_path / "no-witness.json"
+    path.write_text(json.dumps({"k": 2, "members": [{"id": "f", "k": 2, "entries": entries}]}))
+    monkeypatch.setattr(jumpfree.families, "UNIVERSE_MAX_POINTS", 100)
+    assert main([command, "--input", str(path), "--p", "3"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jumpfree: capacity: witness search capped at 100 points of work\n"
+
+
+def test_check_full_refuses_a_family_of_another_arity(capsys, tmp_path):
+    fam = {"k": 3, "members": [{"id": "f", "k": 3, "entries": [[[0, 0, 0], 0]]}]}
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(fam))
+    assert main(["check-full", "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "jumpfree: error: family arity 3 does not match the universe arity 2 (--k)\n"
+    )
+    status, doc = run_json(capsys, "check-full", "--input", str(path), "--k", "3")
+    assert status == EXIT_VIOLATION
+    assert len(doc["violation"]["domain"][0]) == 3
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        "shifted:1_0",
+        "shifted:+3",
+        "shifted: 5",
+        "shifted:5 ",
+        "shifted:\u0663",
+        "shifted:\uff15",
+        "shifted:",
+        "shifted:-",
+        " zigzag",
+        "ZIGZAG",
+        "Shifted:3",
+    ],
+)
+@pytest.mark.parametrize("command", ["sets", "experiment"])
+def test_gamma_outside_the_documented_spellings_exits_1(
+    capsys, function_cube_file, command, gamma
+):
+    argv = [command, "--gamma", f"zigzag,{gamma},zigzag"]
+    if command == "sets":
+        argv += ["--input", function_cube_file]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"jumpfree: error: cannot parse bijection {gamma!r}\n"
+
+
 def test_universe_without_samples_counts_no_grid_points(capsys):
     # 358,800 cube points and no samples: the grid is never built, so the
     # cap must not count its 300^3 points.

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,8 @@ from jumpfree.core import (
     Cube,
     cubes_in,
     enumerate_order_types,
+    iter_cubes,
+    order_layout,
     order_signature,
 )
 from oracles import order_equivalent
@@ -84,6 +87,26 @@ def test_enumerate_order_types_counts(k, count):
     assert len(classes) == count
     assert count == _fubini(k)
     assert len(classes) <= k**k
+
+
+@given(
+    k=st.integers(1, 4),
+    elements=st.sets(st.integers(0, 50), min_size=1, max_size=4).map(sorted),
+)
+def test_order_layout_matches_grouping_by_signature(k, elements):
+    points = list(Cube(tuple(elements), k).points())
+    grouped = {}
+    for x in points:
+        grouped.setdefault(order_signature(x), []).append(x)
+    layout = order_layout(len(elements), k)
+    assert layout is order_layout(len(elements), k)
+    classes = [(sig, [points[i] for i in positions]) for sig, positions in layout]
+    assert classes == sorted(grouped.items())
+    assert sorted(i for _, positions in layout for i in positions) == list(range(len(points)))
+    firsts = [xs[0] for _, xs in classes]
+    for _, xs in classes:
+        assert all(order_equivalent(x, xs[0]) for x in xs)
+        assert [order_equivalent(xs[0], y) for y in firsts].count(True) == 1
 
 
 def test_enumerate_order_types_small_cases():
@@ -163,3 +186,17 @@ def test_cubes_in_matches_brute_force():
             got = [c.elements for c in cubes_in(domain, p)]
             assert got == _cubes_brute(domain, p)
             assert got == sorted(got)
+
+
+def test_first_cube_of_a_large_grid_is_made_alone():
+    # All C(22, 11) = 705,432 cubes of the 22x22 grid would take well over
+    # 100 MB; the first one needs only the domain and one element path.
+    grid = list(itertools.product(range(22), repeat=2))
+    tracemalloc.start()
+    try:
+        first = next(iter_cubes(grid, 11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == Cube(tuple(range(11)), 2)
+    assert peak < 500_000

@@ -24,8 +24,9 @@ from jumpfree.predicates import (
     is_full_over,
     is_jump_free_family,
     jump_free_violation,
+    regressive_regularity,
 )
-from oracles import is_reflexive, literal_gen_family, literal_universe
+from oracles import is_reflexive, literal_gen_family, literal_search_work, literal_universe
 
 
 def spec(**overrides):
@@ -287,3 +288,54 @@ def test_gen_family_over_hand_made_domains_matches_normalising_oracle(kind, univ
     want = literal_gen_family(kind, universe)
     assert fam == want
     assert fam.to_json_dict() == want.to_json_dict()
+
+
+def _member(name, points, rule):
+    return FiniteFunction(id=name, k=2, entries={x: rule(x) for x in points})
+
+
+# No cube: the points (a, b) with a = b or a, b in different classes mod 3
+# form a complete 3-partite graph with loops, which holds no 4 elements.
+_MULTIPARTITE = _member(
+    "multipartite",
+    [(a, b) for a in range(9) for b in range(9) if a == b or a % 3 != b % 3],
+    max,
+)
+# Every cube, and no witness: in the diagonal class the largest element e
+# gives (e, e) the value e - 1, below its own minimum, and the class is not
+# constant below min(E), so it fails both cases.
+_NO_WITNESS = _member(
+    "no-witness", list(itertools.product(range(6), repeat=2)), lambda x: max(min(x) - 1, 0)
+)
+
+
+@pytest.mark.parametrize(
+    "members, p",
+    [([_MULTIPARTITE], 4), ([_NO_WITNESS], 3), ([_MULTIPARTITE, _NO_WITNESS], 4)],
+    ids=["no-cube", "no-witness", "both"],
+)
+def test_search_budget_raises_at_one_point_short_of_its_work(monkeypatch, members, p):
+    work = literal_search_work(members, p)
+    assert work > 0
+    monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", work - 1)
+    with pytest.raises(CapacityError, match=f"witness search capped at {work - 1} points"):
+        find_regressively_regular_witness(members, p, 2)
+    monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", work)
+    assert find_regressively_regular_witness(members, p, 2) is None
+
+
+def test_search_budget_is_charged_before_the_work(monkeypatch):
+    # One cube short of the budget for classifying all 20 cubes of the
+    # no-witness grid: the last cube is refused before it is classified.
+    classified = []
+
+    def counting_regularity(f, cube):
+        classified.append(cube)
+        return regressive_regularity(f, cube)
+
+    monkeypatch.setattr(families, "regressive_regularity", counting_regularity)
+    work = literal_search_work([_NO_WITNESS], 3)
+    monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", work - 9)
+    with pytest.raises(CapacityError):
+        find_regressively_regular_witness([_NO_WITNESS], 3, 2)
+    assert len(classified) == 19

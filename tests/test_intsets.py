@@ -67,6 +67,14 @@ def test_bijection_spec_round_trip():
         ZBijection.parse("shifted:x")
 
 
+def test_bijection_parse_takes_only_ascii_decimal_offsets():
+    assert ZBijection.parse("shifted:007") == ZBijection("shifted", 7)
+    assert ZBijection.parse("shifted:-0") == ZBijection("shifted", 0)
+    for text in ("shifted:1_0", "shifted:\u0663", "shifted:3\n", "zigzag\n", "Zigzag"):
+        with pytest.raises(ValueError, match="cannot parse bijection"):
+            ZBijection.parse(text)
+
+
 def test_gamma_triple_parse_and_json():
     g = GammaTriple.parse("zigzag,zigzagneg,shifted:10")
     assert g[0].apply(1) == 1
