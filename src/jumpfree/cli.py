@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .core import CapacityError, Cube, JsonRecord, json_items
+from .core import CapacityError, Cube, JsonRecord, json_items, render_json
 from .families import (
     FAMILY_KINDS,
     Domain,
@@ -144,7 +144,7 @@ def _run_gen(cfg: RunConfig) -> Outcome:
     fam = Family(k, tuple(members))
     report = {
         "universe": universe,
-        "family": fam.to_json_dict(),
+        "family": fam,
         "members": len(fam),
     }
     return report, None
@@ -392,7 +392,7 @@ def run(cfg: RunConfig) -> tuple[str, int]:
             "report": report,
             "violation": violation,
         }
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        text = render_json(document) + "\n"
     return text, EXIT_VIOLATION if violation is not None else EXIT_OK
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional
 
 KTuple = tuple[int, ...]
@@ -57,6 +59,47 @@ class JsonRecord:
         return {key: _json_value(getattr(self, name)) for name, key in _json_keys(type(self))}
 
 
+def render_json(value: object, margin: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) renders it.
+
+    Dispatches on the exact type: str-keyed dicts, lists, tuples, str, int,
+    float, bool and None.  Any other object renders itself through its
+    render_json(margin) method.  margin is a newline plus the indentation
+    of the line value starts on.  (Before CPython 3.13 the stdlib encoder
+    runs in pure Python whenever it indents.)
+    """
+    t = type(value)
+    if t is str:
+        return encode_basestring_ascii(value)
+    if t is int:
+        return repr(value)
+    if t is dict or t is list or t is tuple:
+        if not value:
+            return "{}" if t is dict else "[]"
+        # One join per level: a chain of + would copy the text below, a
+        # whole family for gen, once per operand.
+        inner = margin + "  "
+        if t is dict:
+            items = [
+                f"{encode_basestring_ascii(key)}: {render_json(value[key], inner)}"
+                for key in sorted(value)
+            ]
+            return "".join(("{", inner, ("," + inner).join(items), margin, "}"))
+        items = [render_json(v, inner) for v in value]
+        return "".join(("[", inner, ("," + inner).join(items), margin, "]"))
+    if value is None:
+        return "null"
+    if t is bool:
+        return "true" if value else "false"
+    if t is float:
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return repr(value)
+    return value.render_json(margin)
+
+
 def order_signature(x: KTuple) -> KTuple:
     """Dense-rank signature of a point.
 
@@ -84,14 +127,18 @@ def order_layout(p: int, k: int) -> tuple[tuple[KTuple, tuple[int, ...]], ...]:
 def enumerate_order_types(k: int) -> list[KTuple]:
     """All order signatures of arity k, in lexicographic order.
 
-    k elements realize every order type of arity k, so these are the
-    signatures of the (k, k) layout, built uncached so that its k^k points
-    are not kept.  The count is the number of ordered set partitions of k
-    items; k^k is a coarse upper bound.
+    A signature's values are exactly range(r) for some r: it is grown one
+    position at a time, in increasing value order, keeping prefixes whose
+    missing ranks the positions left can fill.  The count is the number of
+    ordered set partitions of k items; k^k is a coarse upper bound.
     """
     if k < 1:
         raise ValueError("arity k must be >= 1")
-    return [sig for sig, _ in order_layout.__wrapped__(k, k)]
+    sigs: list[KTuple] = [()]
+    for left in reversed(range(k)):
+        grown = (s + (v,) for s in sigs for v in range(k))
+        sigs = [t for t in grown if max(t) + 1 - len(set(t)) <= left]
+    return sigs
 
 
 def power_exceeds(p: int, k: int, size: int) -> bool:
@@ -163,11 +210,12 @@ def iter_cubes(
             cand = partial + (e,)
             if charge is not None:
                 charge(len(cand) ** k - len(partial) ** k)
-            # Points without e were checked when partial was built.
-            for t in itertools.product(cand, repeat=k):
-                if e in t and t not in points:
-                    break
-            else:
+            # Points without e were checked when partial was built; a point
+            # with e first at position j has partial before j and cand after.
+            new = itertools.chain.from_iterable(
+                itertools.product(*[partial] * j, (e,), *[cand] * (k - 1 - j)) for j in range(k)
+            )
+            if all(map(points.__contains__, new)):
                 yield from extend(cand, i + 1)
 
     yield from extend((), 0)

@@ -9,14 +9,33 @@ lexicographic point order), so every run reports the same witness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import Cube, JsonRecord, KTuple, is_nat, json_items, order_layout, power_exceeds
+from .core import (
+    Cube,
+    JsonRecord,
+    KTuple,
+    is_nat,
+    json_items,
+    order_layout,
+    power_exceeds,
+    render_json,
+)
 
 CASE1 = "case1"
 CASE2 = "case2"
 VIOLATED = "violated"
+
+
+@functools.cache
+def _entry_template(k: int, margin: str) -> str:
+    """One [point, value] entry of arity k laid out as core.render_json lays
+    it out at margin, with %d for each coordinate and for the value."""
+    m1, m2 = margin + "  ", margin + "    "
+    point = "[" + m2 + ("," + m2).join(["%d"] * k) + m1 + "]"
+    return "[" + m1 + point + "," + m1 + "%d" + margin + "]"
 
 
 @dataclass
@@ -61,6 +80,18 @@ class FiniteFunction:
             "entries": [[list(t), v] for t, v in sorted(self.entries.items())],
         }
 
+    def render_json(self, margin: str) -> str:
+        """to_json_dict() as core.render_json renders it at margin, with
+        each entry filled into one template per (k, margin)."""
+        inner, at = margin + "  ", margin + "    "
+        entry = _entry_template(self.k, at)
+        entries = ("," + at).join([entry % (*t, v) for t, v in sorted(self.entries.items())])
+        return "".join((
+            "{", inner, '"entries": ', "[" + at + entries + inner + "]" if entries else "[]",
+            ",", inner, '"id": ', render_json(self.id),
+            ",", inner, '"k": ', repr(self.k), margin, "}",
+        ))
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteFunction":
         if type(data["id"]) is not str:
@@ -103,6 +134,10 @@ class Family:
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "members": [m.to_json_dict() for m in self.members]}
+
+    def render_json(self, margin: str) -> str:
+        """to_json_dict() as core.render_json renders it at margin."""
+        return render_json({"k": self.k, "members": self.members}, margin)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Family":

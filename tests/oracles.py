@@ -5,6 +5,7 @@ so the fast implementations in src/ can be tested against them.
 """
 
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -39,6 +40,26 @@ def literal_order_types(k):
     """Every signature of a point of {0, ..., k-1}^k, sorted: k values
     realize every order type of arity k, so the k^k grid is exhaustive."""
     return sorted({order_signature(t) for t in itertools.product(range(k), repeat=k)})
+
+
+def render_json(document):
+    """The stdlib's indented rendering, which the CLI's output must match byte for byte."""
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
+def literal_cubes_in(domain, p):
+    """Element sets of every p-subset of the domain's coordinates whose
+    power lies inside the domain, in lexicographic order."""
+    points = set(domain)
+    if not points:
+        return []
+    k = len(next(iter(points)))
+    field = sorted({c for t in points for c in t})
+    return [
+        elements
+        for elements in itertools.combinations(field, p)
+        if all(t in points for t in itertools.product(elements, repeat=k))
+    ]
 
 
 def literal_search_work(members, p):

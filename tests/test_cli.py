@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import jumpfree.cli
 from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, build_parser, main
 from jumpfree.families import build_universe
+from oracles import render_json as stdlib_render
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,28 @@ def test_gen_emits_family_document(capsys):
     assert doc["config"]["seed"] == 0
     assert doc["report"]["members"] == len(doc["report"]["family"]["members"])
     assert doc["report"]["universe"]["gridBound"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--k", "1", "--grid", "5", "--samples", "8"],
+        ["gen", "--family", "predmin", "--grid", "4", "--samples", "20"],
+        ["gen", "--k", "3", "--grid", "3", "--max-domain", "27", "--samples", "10"],
+        ["gen", "--k", "4", "--grid", "2", "--max-domain", "16", "--samples", "3"],
+        ["check-jumpfree", "--family", "constmin"],
+        ["check-full", "--samples", "5"],
+        ["search", "--grid", "5", "--p", "3", "--max-domain", "25"],
+        ["experiment", "--grid", "4"],
+    ],
+    ids=[
+        "gen-k1", "gen-predmin", "gen-k3", "gen-k4", "check-jumpfree", "check-full", "search",
+        "experiment",
+    ],
+)
+def test_output_is_the_stdlib_rendering(capsys, argv):
+    _, out = run_cli(capsys, *argv)
+    assert out == stdlib_render(json.loads(out)) + "\n"
 
 
 def test_check_jumpfree_clean_family(capsys):
@@ -423,17 +446,17 @@ def test_universe_without_samples_counts_no_grid_points(capsys):
 
 def test_experiment_generates_members_only_up_to_the_witness(capsys, monkeypatch):
     members, draws = [], []
-    real_function, real_sample = jumpfree.families.FiniteFunction, random.Random.sample
+    real_member, real_sample = jumpfree.families._member, random.Random.sample
 
-    def counting_function(*args, **kwargs):
-        members.append(real_function(*args, **kwargs))
+    def counting_member(*args, **kwargs):
+        members.append(real_member(*args, **kwargs))
         return members[-1]
 
     def counting_sample(self, *args, **kwargs):
         draws.append(args)
         return real_sample(self, *args, **kwargs)
 
-    monkeypatch.setattr(jumpfree.families, "FiniteFunction", counting_function)
+    monkeypatch.setattr(jumpfree.families, "_member", counting_member)
     monkeypatch.setattr(random.Random, "sample", counting_sample)
     argv = ["experiment", "--family", "max", "--p", "3", "--grid", "8", "--max-domain", "64"]
     status, doc = run_json(capsys, *argv, "--samples", "300")

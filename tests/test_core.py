@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jumpfree.core import (
@@ -16,8 +16,9 @@ from jumpfree.core import (
     iter_cubes,
     order_layout,
     order_signature,
+    render_json,
 )
-from oracles import order_equivalent
+from oracles import literal_cubes_in, order_equivalent, render_json as stdlib_render
 
 ktuples = st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=5).map(tuple)
 
@@ -163,19 +164,6 @@ def test_cubes_in_full_grid():
     assert [c.elements for c in cubes_in(grid, 3)] == [(0, 1, 2)]
 
 
-def _cubes_brute(domain, p):
-    # Oracle: try every p-subset of the coordinate field directly.
-    pts = set(map(tuple, domain))
-    if not pts:
-        return []
-    k = len(next(iter(pts)))
-    out = []
-    for elems in itertools.combinations(sorted({c for t in pts for c in t}), p):
-        if all(t in pts for t in itertools.product(elems, repeat=k)):
-            out.append(elems)
-    return out
-
-
 def test_cubes_in_matches_brute_force():
     rng = random.Random(7)
     for _ in range(60):
@@ -184,8 +172,28 @@ def test_cubes_in_matches_brute_force():
         domain = list({tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(n_points)})
         for p in (1, 2, 3):
             got = [c.elements for c in cubes_in(domain, p)]
-            assert got == _cubes_brute(domain, p)
+            assert got == literal_cubes_in(domain, p)
             assert got == sorted(got)
+
+
+def _multipartite(n, parts):
+    # (a, b) with a = b or a, b in different classes mod parts: a complete
+    # multipartite graph with loops, whose cubes hold at most parts elements.
+    return [(a, b) for a in range(n) for b in range(n) if a == b or (a - b) % parts]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    domain=st.sets(st.tuples(*[st.integers(0, 5)] * 3), max_size=60),
+    p=st.integers(1, 4),
+)
+@example(2, {(a, b, 0) for a, b in _multipartite(14, 6)}, 6)
+@example(2, {(a, b, 0) for a, b in _multipartite(14, 6)}, 7)
+def test_iter_cubes_matches_subset_enumeration(k, domain, p):
+    # Points are drawn as triples and cut to arity k.
+    domain = {tuple(t[:k]) for t in domain}
+    assert [c.elements for c in iter_cubes(domain, p)] == literal_cubes_in(domain, p)
 
 
 def test_first_cube_of_a_large_grid_is_made_alone():
@@ -200,3 +208,25 @@ def test_first_cube_of_a_large_grid_is_made_alone():
         tracemalloc.stop()
     assert first == Cube(tuple(range(11)), 2)
     assert peak < 500_000
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**60), 10**60)
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example({"b": {}, "a": [[], {}, ()], "": [None, True, False]})
+@example([math.nan, math.inf, -math.inf, -0.0, 1e300, -(10**100)])
+@example(["\u00e9\u2028\ud83d\x00\x1f\"\\/", "\U0001f600"])
+def test_render_json_matches_the_stdlib(value):
+    assert render_json(value) == stdlib_render(value)

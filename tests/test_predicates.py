@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from jumpfree.core import Cube, order_signature
+from jumpfree.core import Cube, order_signature, render_json
 from jumpfree.predicates import (
     CASE1,
     CASE2,
@@ -18,7 +20,7 @@ from jumpfree.predicates import (
     jump_free_violation,
     regressive_regularity,
 )
-from oracles import is_reflexive, predecessor_set
+from oracles import is_reflexive, predecessor_set, render_json as stdlib_render
 
 
 def ff(fid, entries, k=2):
@@ -69,6 +71,25 @@ def test_finite_function_json_round_trip():
     data = f.to_json_dict()
     assert data == {"id": "f0", "k": 2, "entries": [[[0, 0], 0], [[1, 2], 1]]}
     assert FiniteFunction.from_json_dict(data) == f
+
+
+def _families(k):
+    point = st.tuples(*[st.integers(0, 10**12)] * k)
+    entries = st.dictionaries(point, st.integers(0, 10**30), max_size=6)
+    members = st.lists(st.tuples(st.text(max_size=4), entries), max_size=4, unique_by=lambda m: m[0])
+    return members.map(lambda ms: Family(k, tuple(FiniteFunction(i, k, e) for i, e in ms)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(_families))
+@example(Family(1, (FiniteFunction("one", 1, {(0,): 0}),)))
+@example(Family(4, (FiniteFunction("f\u00e9", 4, {(1, 2, 3, 4): 1, (0, 0, 0, 0): 0}),)))
+def test_family_renders_as_the_stdlib_renders_its_json_dict(fam):
+    # At two depths, so that the entry template is made for two margins.
+    def doc(family):
+        return {"family": family, "nested": [{"family": family}], "n": len(fam)}
+
+    assert render_json(doc(fam)) == stdlib_render(doc(fam.to_json_dict()))
 
 
 def test_family_validates_members():
