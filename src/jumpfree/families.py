@@ -160,22 +160,6 @@ _RULES = {
 FAMILY_KINDS = tuple(_RULES)
 
 
-def _member(member_id: str, k: int, entries: dict[KTuple, int], checked: set) -> FiniteFunction:
-    """A generated member, put through FiniteFunction's checks only when it
-    brings a point not in checked, so a bad domain fails as it always did; a
-    point of a tuple subclass or with a bool or float coordinate counts as
-    new even when it equals a checked one.  Rule values are coordinates of
-    the points and need no check of their own."""
-    if checked.issuperset(entries):
-        if set(map(type, itertools.chain(entries, *entries))) == {tuple, int}:
-            f = object.__new__(FiniteFunction)
-            f.id, f.k, f.entries = member_id, k, entries
-            return f
-    f = FiniteFunction(id=member_id, k=k, entries=entries)
-    checked.update(f.entries)
-    return f
-
-
 def iter_family(kind: str, universe: Iterable[Domain]) -> Iterator[FiniteFunction]:
     """One member per universe domain, valued by the named rule, made as
     the domains arrive, so a consumer that stops early stops generation.
@@ -189,13 +173,12 @@ def iter_family(kind: str, universe: Iterable[Domain]) -> Iterator[FiniteFunctio
         raise ValueError(f"unknown family kind {kind!r}, expected one of {FAMILY_KINDS}")
     rule = _RULES[kind]
     k = None
-    checked: set[KTuple] = set()
     for i, dom in enumerate(universe):
         if not dom:
             raise ValueError("universe domains must be nonempty")
         if k is None:
             k = len(dom[0])
-        yield _member(f"{kind}-{i:03d}", k, rule(dom), checked)
+        yield FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=rule(dom))
     if k is None:
         raise ValueError("cannot generate a family over an empty universe")
 

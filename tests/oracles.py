@@ -105,6 +105,19 @@ def is_valid_certificate(cert, ms):
     return cert.sum == 0 and sum(v * m for v, m in cert.chosen) == 0
 
 
+def is_valid_function(k, entries):
+    """Whether every key is a plain tuple of k nonnegative plain ints and
+    every value a nonnegative plain int, tested point by point."""
+    return all(
+        type(t) is tuple
+        and len(t) == k
+        and all(type(c) is int and c >= 0 for c in t)
+        and type(v) is int
+        and v >= 0
+        for t, v in entries.items()
+    )
+
+
 def predecessor_set(domain, x):
     """Points of the domain whose maximum coordinate is strictly below max(x)."""
     pts = set(domain)

@@ -446,17 +446,17 @@ def test_universe_without_samples_counts_no_grid_points(capsys):
 
 def test_experiment_generates_members_only_up_to_the_witness(capsys, monkeypatch):
     members, draws = [], []
-    real_member, real_sample = jumpfree.families._member, random.Random.sample
+    real_function, real_sample = jumpfree.families.FiniteFunction, random.Random.sample
 
-    def counting_member(*args, **kwargs):
-        members.append(real_member(*args, **kwargs))
+    def counting_function(*args, **kwargs):
+        members.append(real_function(*args, **kwargs))
         return members[-1]
 
     def counting_sample(self, *args, **kwargs):
         draws.append(args)
         return real_sample(self, *args, **kwargs)
 
-    monkeypatch.setattr(jumpfree.families, "_member", counting_member)
+    monkeypatch.setattr(jumpfree.families, "FiniteFunction", counting_function)
     monkeypatch.setattr(random.Random, "sample", counting_sample)
     argv = ["experiment", "--family", "max", "--p", "3", "--grid", "8", "--max-domain", "64"]
     status, doc = run_json(capsys, *argv, "--samples", "300")

@@ -290,29 +290,6 @@ def test_gen_family_over_hand_made_domains_matches_normalising_oracle(kind, univ
     assert fam.to_json_dict() == want.to_json_dict()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    kind=st.sampled_from(FAMILY_KINDS),
-    k=st.integers(1, 3),
-    grid_bound=st.integers(2, 4),
-    max_domain_size=st.integers(1, 27),
-    sample_count=st.integers(1, 25),
-    seed=st.integers(0, 10**6),
-)
-def test_generated_members_equal_checked_members(
-    kind, k, grid_bound, max_domain_size, sample_count, seed
-):
-    # Most generated members skip the constructor's checks: each must still
-    # be the member the checked constructor makes from the same entries.
-    universe = build_universe(UniverseSpec(k, grid_bound, max_domain_size, sample_count, seed, True))
-    members = list(iter_family(kind, universe))
-    assert len(members) == len(universe)
-    for i, (m, dom) in enumerate(zip(members, universe)):
-        checked = FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=families._RULES[kind](dom))
-        assert type(m) is FiniteFunction
-        assert vars(m) == vars(checked)
-
-
 _GOOD = ((0, 0), (1, 1), (0, 1))
 
 
@@ -335,7 +312,7 @@ class _Point(tuple):
 )
 def test_bad_domain_fails_at_its_member_with_the_constructors_message(bad, message):
     # The bool, float and tuple-subclass points equal points of the first
-    # domain, which were checked already.
+    # domain, so a test by equality alone would let them through.
     with pytest.raises(ValueError) as info:
         gen_family("max", [_GOOD, bad, _GOOD])
     assert str(info.value) == message

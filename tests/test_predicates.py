@@ -20,7 +20,7 @@ from jumpfree.predicates import (
     jump_free_violation,
     regressive_regularity,
 )
-from oracles import is_reflexive, predecessor_set, render_json as stdlib_render
+from oracles import is_reflexive, is_valid_function, predecessor_set, render_json as stdlib_render
 
 
 def ff(fid, entries, k=2):
@@ -64,6 +64,44 @@ def test_finite_function_rejects_invalid_points(bad, message):
     with pytest.raises(ValueError) as info:
         FiniteFunction(id="f0", k=2, entries={bad: 0})
     assert str(info.value) == message
+
+
+class _Point(tuple):
+    pass
+
+
+_numbers = st.integers(-1, 4) | st.sampled_from([True, False, 1.0, 2.5])
+_valid_points = st.tuples(st.integers(0, 4), st.integers(0, 4))
+_points = st.one_of(
+    _valid_points,
+    st.lists(_numbers, max_size=3).map(tuple),
+    _valid_points.map(_Point),
+    st.just(b"\x01\x02"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    valid=st.dictionaries(_valid_points, st.integers(0, 4), max_size=8),
+    other=st.dictionaries(_points, st.integers(0, 4) | _numbers, max_size=2),
+)
+def test_finite_function_accepts_exactly_the_valid_entries(valid, other):
+    entries = {**valid, **other}
+    if is_valid_function(2, entries):
+        assert FiniteFunction(id="f0", k=2, entries=entries).entries == entries
+    else:
+        with pytest.raises(ValueError):
+            FiniteFunction(id="f0", k=2, entries=entries)
+
+
+def test_finite_function_refuses_the_first_bad_point_among_many():
+    entries = {(a, b): a for a in range(30) for b in range(30)}
+    # A point equal to a valid one would only replace that one's value.
+    entries[(3, 1.5)] = 0
+    entries[(-1, 0)] = 0
+    with pytest.raises(ValueError) as info:
+        FiniteFunction(id="f0", k=2, entries=entries)
+    assert str(info.value) == "coordinates must be nonnegative integers, got 1.5"
 
 
 def test_finite_function_json_round_trip():
