@@ -103,17 +103,18 @@ def _reading(path: str, expected: str) -> Iterator:
 
 
 def _load_members(
-    cfg: RunConfig, universe: Optional[list[Domain]] = None
-) -> tuple[Iterable[FiniteFunction], int, Optional[dict]]:
+    cfg: RunConfig, universe: Optional[list[Domain]] = None, p: Optional[int] = None
+) -> tuple[Iterable[Optional[FiniteFunction]], int, Optional[dict]]:
     """Members from --input, a family document bare or wrapped under
     report.family, else generated from the universe flags, with their
     arity k and the universe spec's JSON (None for --input).  Generated
     members come as a stream, over universe when the caller has built it,
-    so a search stops generation at its witness."""
+    so a search stops generation at its witness; with a cube side p, those
+    too small for a p-cube come unbuilt (see iter_family)."""
     if cfg.input is None:
         spec = cfg.universe_spec()
         domains = iter_universe(spec) if universe is None else universe
-        return iter_family(cfg.family, domains), spec.k, spec.to_json_dict()
+        return iter_family(cfg.family, domains, p), spec.k, spec.to_json_dict()
     with _reading(cfg.input, "not a family document") as data:
         if "members" not in data:
             data = data["report"]["family"]
@@ -198,7 +199,7 @@ def _run_check_rr(cfg: RunConfig) -> Outcome:
 
 
 def _run_search(cfg: RunConfig) -> Outcome:
-    members, k, universe = _load_members(cfg)
+    members, k, universe = _load_members(cfg, p=cfg.p)
     witness = find_regressively_regular_witness(members, cfg.p, k)
     report = {
         "universe": universe,
@@ -238,7 +239,7 @@ def _run_solve(cfg: RunConfig) -> Outcome:
 
 
 def _run_experiment(cfg: RunConfig) -> Outcome:
-    members, k, universe = _load_members(cfg)
+    members, k, universe = _load_members(cfg, p=cfg.p)
     gammas = GammaTriple.parse(cfg.gamma)
     result = run_corollary_experiment(members, cfg.p, gammas=gammas, method=cfg.method, k=k)
     report = {**result.to_json_dict(), "universe": universe}

@@ -160,14 +160,18 @@ _RULES = {
 FAMILY_KINDS = tuple(_RULES)
 
 
-def iter_family(kind: str, universe: Iterable[Domain]) -> Iterator[FiniteFunction]:
+def iter_family(
+    kind: str, universe: Iterable[Domain], p: Optional[int] = None
+) -> Iterator[Optional[FiniteFunction]]:
     """One member per universe domain, valued by the named rule, made as
     the domains arrive, so a consumer that stops early stops generation.
 
     All four rules are reflexive by construction.  max, min, and predmin
     yield jump-free families; constmin does not, by design, so checkers
     have a guaranteed negative fixture.  Member i has id "{kind}-{i:03d}",
-    and every member takes the arity of the first domain.
+    and every member takes the arity of the first domain.  Given a cube
+    side p >= 2, a domain of fewer than p^k points, which holds no p-cube,
+    yields None in its member's place, unbuilt and unchecked.
     """
     if kind not in _RULES:
         raise ValueError(f"unknown family kind {kind!r}, expected one of {FAMILY_KINDS}")
@@ -178,7 +182,8 @@ def iter_family(kind: str, universe: Iterable[Domain]) -> Iterator[FiniteFunctio
             raise ValueError("universe domains must be nonempty")
         if k is None:
             k = len(dom[0])
-        yield FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=rule(dom))
+        small = p is not None and power_exceeds(p, k, len(dom))
+        yield None if small else FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=rule(dom))
     if k is None:
         raise ValueError("cannot generate a family over an empty universe")
 
@@ -222,7 +227,7 @@ class WitnessResult:
 
 
 def find_regressively_regular_witness(
-    members: Iterable[FiniteFunction] | Family, p: int, k: Optional[int] = None
+    members: Iterable[Optional[FiniteFunction]] | Family, p: int, k: Optional[int] = None
 ) -> Optional[WitnessResult]:
     """First (member, cube) pair that classifies as regressively regular.
 
@@ -230,8 +235,9 @@ def find_regressively_regular_witness(
     lexicographic order, with no heuristics, so repeated runs return the
     identical witness.  members may be a stream such as iter_family's: it
     is pulled one member at a time and left at the witness, so a generated
-    family is built only up to its first witness.  k is the members'
-    arity; left out, it is members.k and a whole Family is scanned.
+    family is built only up to its first witness; a None in it, a member
+    left unbuilt, is counted as examined.  k is the members' arity; left
+    out, it is members.k and a whole Family is scanned.
     Returns None when the members are exhausted; over a truncated universe
     that outcome carries no meaning beyond the scanned scope.  Points looked
     up to enumerate cubes and the p^k classified per cube share one budget,
@@ -252,6 +258,8 @@ def find_regressively_regular_witness(
             raise CapacityError(f"witness search capped at {UNIVERSE_MAX_POINTS} points of work")
 
     for functions_examined, f in enumerate(members, 1):
+        if f is None:
+            continue
         for cube in iter_cubes(f.entries, p, charge):
             cubes_examined += 1
             charge(p**k)

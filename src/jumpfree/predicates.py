@@ -321,27 +321,28 @@ def regressive_regularity(f: FiniteFunction, cube: Cube) -> RegularityReport:
     minimum element, or have every point's value at least that point's own
     minimum coordinate.  Classes are processed in lexicographic signature
     order; violations record the first offending point.  Values need not
-    be reflexive here.  The classes come from the cube's (p, k) layout.
+    be reflexive here.  The classes come from the cube's (p, k) layout, as
+    positions into the cube's points and values, each read once.
     """
     points = _cube_power(f, cube)
-    min_e = cube.min_element
+    values = [f.entries[x] for x in points]
     per_class: dict[KTuple, ClassVerdict] = {}
     for sig, positions in order_layout(cube.p, cube.k):
-        xs = [points[i] for i in positions]
-        values = [f(x) for x in xs]
-        if len(set(values)) == 1 and values[0] < min_e:
-            per_class[sig] = ClassVerdict(kind=CASE1, value=values[0])
-        elif all(v >= min(x) for x, v in zip(xs, values)):
+        head = positions[0]
+        first = values[head]
+        # min(x) of a point in class sig is its coordinate where sig is 0.  A
+        # constant class below min(E) has its first point below that, too.
+        j = sig.index(0)
+        low = next((i for i in positions if values[i] < points[i][j]), None)
+        if first < cube.min_element and all(values[i] == first for i in positions):
+            per_class[sig] = ClassVerdict(kind=CASE1, value=first)
+        elif low is None:
             per_class[sig] = ClassVerdict(kind=CASE2)
         else:
-            offender = next(x for x in xs if f(x) < min(x))
-            other = next(((x, v) for x, v in zip(xs, values) if v != values[0]), None)
-            conflict = None if other is None else ((xs[0], values[0]), other)
+            odd = next((i for i in positions if values[i] != first), None)
+            pair = None if odd is None else ((points[head], first), (points[odd], values[odd]))
             per_class[sig] = ClassVerdict(
-                kind=VIOLATED,
-                offender=offender,
-                offender_value=f(offender),
-                conflict_pair=conflict,
+                kind=VIOLATED, offender=points[low], offender_value=values[low], conflict_pair=pair
             )
 
     overall = all(v.kind != VIOLATED for v in per_class.values())

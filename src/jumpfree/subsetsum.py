@@ -166,7 +166,7 @@ class ExperimentReport:
 
 
 def run_corollary_experiment(
-    members: Iterable[FiniteFunction] | Family,
+    members: Iterable[Optional[FiniteFunction]] | Family,
     p: int,
     gammas: GammaTriple = DEFAULT_GAMMAS,
     method: str = "dp",

@@ -91,6 +91,43 @@ def literal_search_work(members, p):
     return work
 
 
+def literal_regressive_regularity(f, cube):
+    """The JSON report of f over the cube, from the definitions.
+
+    The points of E^k are grouped by order type (each coordinate replaced
+    by its rank among the point's distinct coordinates), classes in
+    signature order, points in lexicographic order.  A class is case1 when
+    its values are one value below min(E), else case2 when every value is
+    at least its point's own minimum, else violated: the offender is the
+    first point whose value lies below its own minimum, and the conflict
+    pair is the first point and the first point valued differently from it.
+    """
+    classes = {}
+    for x in sorted(itertools.product(cube.elements, repeat=cube.k)):
+        sig = tuple(sorted(set(x)).index(c) for c in x)
+        classes.setdefault(sig, []).append((x, f.entries[x]))
+    per_class = {}
+    for sig in sorted(classes):
+        pts = classes[sig]
+        values = [v for _, v in pts]
+        if len(set(values)) == 1 and values[0] < min(cube.elements):
+            verdict = {"kind": "case1", "value": values[0]}
+        elif all(v >= min(x) for x, v in pts):
+            verdict = {"kind": "case2"}
+        else:
+            offender, value = [(x, v) for x, v in pts if v < min(x)][0]
+            differing = [[list(x), v] for x, v in pts if v != values[0]]
+            verdict = {
+                "kind": "violated",
+                "offender": list(offender),
+                "offenderValue": value,
+                "conflictPair": [[list(pts[0][0]), values[0]], differing[0]] if differing else None,
+            }
+        per_class["(" + ",".join(map(str, sig)) + ")"] = verdict
+    overall = all(v["kind"] != "violated" for v in per_class.values())
+    return {"overall": overall, "perClass": per_class}
+
+
 def is_reflexive(f):
     """Whether every value of f is a coordinate of some domain point."""
     return all(any(v in t for t in f.entries) for v in f.entries.values())

@@ -365,6 +365,8 @@ def test_capacity_error_exits_1(capsys, tmp_path):
         ["gen", "--k", "1000000000"],
         ["check-jumpfree", "--samples", "1000000000000"],
         ["search", "--grid", "3000", "--samples", "0"],
+        ["search", "--k", "1000000000", "--p", "3"],
+        ["experiment", "--k", "1000000000", "--p", "3"],
     ],
 )
 def test_universe_guard_trips_before_allocation(capsys, argv):
@@ -463,7 +465,8 @@ def test_experiment_generates_members_only_up_to_the_witness(capsys, monkeypatch
     assert status == EXIT_OK
     assert doc["report"]["witness"]["functionId"] == "max-028"
     assert doc["report"]["witness"]["searchStats"]["functionsExamined"] == 29
-    assert len(members) == 29
+    # The 28 members before it have fewer than 3^2 points and stay unbuilt.
+    assert len(members) == 1
     assert draws == []
 
 

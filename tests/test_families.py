@@ -274,6 +274,29 @@ def test_streamed_search_matches_search_over_whole_family(
     assert find_regressively_regular_witness(stream, p, k) == whole
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(FAMILY_KINDS),
+    k=st.integers(2, 3),
+    grid_bound=st.integers(2, 5),
+    max_domain_size=st.integers(1, 64),
+    sample_count=st.integers(1, 40),
+    seed=st.integers(0, 10**6),
+    include_all_cubes=st.booleans(),
+    p=st.integers(2, 4),
+)
+@example("max", 2, 4, 16, 30, 0, True, 4)  # the 4x4 grid is the witness
+def test_search_over_size_filtered_stream_matches_search_over_whole_family(
+    kind, k, grid_bound, max_domain_size, sample_count, seed, include_all_cubes, p
+):
+    s = UniverseSpec(k, grid_bound, max_domain_size, sample_count, seed, include_all_cubes)
+    members = gen_family(kind, build_universe(s)).members
+    filtered = list(iter_family(kind, iter_universe(s), p))
+    assert filtered == [None if len(f.entries) < p**k else f for f in members]
+    whole = find_regressively_regular_witness(members, p, k)
+    assert find_regressively_regular_witness(iter(filtered), p, k) == whole
+
+
 def _hand_made_universes(k):
     # Points listed in any order, repeats allowed.
     domain = st.lists(st.tuples(*[st.integers(0, 4)] * k), min_size=1, max_size=8)

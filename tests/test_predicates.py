@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jumpfree.core import Cube, order_signature, render_json
+from jumpfree.core import Cube, render_json
 from jumpfree.predicates import (
     CASE1,
     CASE2,
@@ -20,7 +20,13 @@ from jumpfree.predicates import (
     jump_free_violation,
     regressive_regularity,
 )
-from oracles import is_reflexive, is_valid_function, predecessor_set, render_json as stdlib_render
+from oracles import (
+    is_reflexive,
+    is_valid_function,
+    literal_regressive_regularity,
+    predecessor_set,
+    render_json as stdlib_render,
+)
 
 
 def ff(fid, entries, k=2):
@@ -306,34 +312,44 @@ def test_regressive_regularity_rejects_k1():
         regressive_regularity(ff("f", {(2,): 0, (5,): 0}, k=1), cube)
 
 
-def _classify_brute(values_by_point, min_e):
-    # Independent per-class classifier, written from the definitions.
-    by_class = {}
-    for x, v in values_by_point.items():
-        by_class.setdefault(order_signature(x), []).append((x, v))
-    verdicts = {}
-    for sig, pts in by_class.items():
-        vals = {v for _, v in pts}
-        if len(vals) == 1 and next(iter(vals)) < min_e:
-            verdicts[sig] = CASE1
-        elif all(v >= min(x) for x, v in pts):
-            verdicts[sig] = CASE2
-        else:
-            verdicts[sig] = VIOLATED
-    return verdicts
-
-
 def test_regressive_regularity_matches_brute_force():
     rng = random.Random(5)
     for _ in range(200):
         p = rng.choice((2, 3))
         elements = tuple(sorted(rng.sample(range(8), p)))
         cube = Cube(elements=elements, k=2)
-        values = {x: rng.randint(0, 9) for x in cube.points()}
-        report = regressive_regularity(ff("f", values), cube)
-        expected = _classify_brute(values, cube.min_element)
-        assert {sig: v.kind for sig, v in report.per_class.items()} == expected
-        assert report.overall == all(k != VIOLATED for k in expected.values())
+        f = ff("f", {x: rng.randint(0, 9) for x in cube.points()})
+        got = regressive_regularity(f, cube).to_json_dict()
+        want = literal_regressive_regularity(f, cube)
+        assert got == want and list(got["perClass"]) == list(want["perClass"])
+
+
+@st.composite
+def _cube_functions(draw):
+    # Values lean toward one constant per function, which makes constant
+    # classes below min(E) when it is low enough, and toward min(x) +- 1.
+    k, p = draw(st.sampled_from((2, 3))), draw(st.integers(2, 4))
+    elements = draw(st.lists(st.integers(0, 9), min_size=p, max_size=p, unique=True))
+    cube = Cube(elements=tuple(sorted(elements)), k=k)
+    low = draw(st.integers(0, 9))
+    entries = {}
+    for x in cube.points():
+        near = st.sampled_from((low, low, low, max(min(x) - 1, 0), min(x), min(x) + 1))
+        entries[x] = draw(near | st.integers(0, 12))
+    return ff("f", entries, k=k), cube
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cube_functions())
+@example((ff("f", {(2, 2): 2, (2, 5): 2, (5, 2): 2, (5, 5): 3}), Cube((2, 5), 2)))
+@example((ff("f", {x: 1 for x in itertools.product((3, 4), repeat=3)}, k=3), Cube((3, 4), 3)))
+@example((ff("f", {x: 3 for x in itertools.product((0, 2), repeat=2)}), Cube((0, 2), 2)))
+def test_regressive_regularity_report_matches_literal_oracle(case):
+    f, cube = case
+    got = regressive_regularity(f, cube).to_json_dict()
+    want = literal_regressive_regularity(f, cube)
+    assert got == want
+    assert list(got["perClass"]) == list(want["perClass"])
 
 
 def test_report_json_shape():
