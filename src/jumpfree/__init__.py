@@ -35,18 +35,15 @@ from .intsets import (
     build_fh,
 )
 from .predicates import (
-    ClassVerdict,
     Family,
     FiniteFunction,
     JumpFreeWitness,
-    RegularityReport,
     is_full_over,
     is_jump_free_family,
     jump_free_violation,
     regressive_regularity,
 )
 from .subsetsum import (
-    ExperimentReport,
     SubsetCertificate,
     run_corollary_experiment,
     solve_subset_sum,

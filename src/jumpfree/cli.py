@@ -188,7 +188,7 @@ def _run_check_full(cfg: RunConfig) -> Outcome:
 
 def _run_check_rr(cfg: RunConfig) -> Outcome:
     f, cube = _load_function_cube(cfg)
-    rr = regressive_regularity(f, cube).to_json_dict()
+    rr = regressive_regularity(f, cube)
     report = {"functionId": f.id, "cube": cube.to_json_dict(), "report": rr}
     # perClass lists the classes in signature order.
     violated = [(sig, v) for sig, v in rr["perClass"].items() if v["kind"] == VIOLATED]
@@ -241,19 +241,12 @@ def _run_solve(cfg: RunConfig) -> Outcome:
 def _run_experiment(cfg: RunConfig) -> Outcome:
     members, k, universe = _load_members(cfg, p=cfg.p)
     gammas = GammaTriple.parse(cfg.gamma)
-    result = run_corollary_experiment(members, cfg.p, gammas=gammas, method=cfg.method, k=k)
-    report = {**result.to_json_dict(), "universe": universe}
-    violation = None
-    if result.outcome == "ok" and not (
-        result.fh_equal and result.agreement and result.cardinality_ok
-    ):
-        violation = {
-            "kind": "solvabilityMismatch",
-            "fh_equal": result.fh_equal,
-            "agreement": result.agreement,
-            "cardinality_ok": result.cardinality_ok,
-        }
-    return report, violation
+    report = run_corollary_experiment(members, cfg.p, gammas=gammas, method=cfg.method, k=k)
+    report["universe"] = universe
+    checks = {key: report[key] for key in ("fh_equal", "agreement", "cardinality_ok")}
+    if report["outcome"] == "ok" and not all(checks.values()):
+        return report, {"kind": "solvabilityMismatch", **checks}
+    return report, None
 
 
 # argparse settings of each flag, keyed by its name; dest names the

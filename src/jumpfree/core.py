@@ -113,15 +113,19 @@ def order_signature(x: KTuple) -> KTuple:
 
 
 @functools.cache
-def order_layout(p: int, k: int) -> tuple[tuple[KTuple, tuple[int, ...]], ...]:
-    """Each order signature realized in E^k, in lexicographic order, with
-    the positions of its points in E^k's lexicographic order.  For any
-    increasing E of p elements a point has its index tuple's order type,
-    so this is computed once per (p, k)."""
+def order_layout(p: int, k: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+    """Each order signature realized in E^k, in lexicographic order, as its
+    label "(s0,s1,...)", the index of its 0, and the positions of its
+    points in E^k's lexicographic order.  For any increasing E of p
+    elements a point has its index tuple's order type, so this is
+    computed once per (p, k)."""
     classes: dict[KTuple, list[int]] = {}
     for i, t in enumerate(itertools.product(range(p), repeat=k)):
         classes.setdefault(order_signature(t), []).append(i)
-    return tuple((sig, tuple(classes[sig])) for sig in sorted(classes))
+    return tuple(
+        ("(" + ",".join(map(str, sig)) + ")", sig.index(0), tuple(classes[sig]))
+        for sig in sorted(classes)
+    )
 
 
 def enumerate_order_types(k: int) -> list[KTuple]:

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .core import CapacityError, Cube, JsonRecord, KTuple, iter_cubes, power_exceeds
-from .predicates import (
-    Family,
-    FiniteFunction,
-    RegularityReport,
-    regressive_regularity,
-)
+from .predicates import Family, FiniteFunction, regressive_regularity
 
 Domain = tuple[KTuple, ...]
 
@@ -202,15 +197,16 @@ class SearchStats(JsonRecord):
 
 @dataclass
 class WitnessResult:
-    """A member and cube over which the member is regressively regular."""
+    """A member and cube over which the member is regressively regular,
+    with the regularity report of the pair."""
 
     function: FiniteFunction
     cube: Cube
-    report: RegularityReport
+    report: dict
     search_stats: SearchStats
 
     def __post_init__(self) -> None:
-        if not self.report.overall:
+        if not self.report["overall"]:
             raise ValueError("witness requires an overall-regular report")
 
     @property
@@ -221,7 +217,7 @@ class WitnessResult:
         return {
             "functionId": self.function_id,
             "cube": self.cube.to_json_dict(),
-            "report": self.report.to_json_dict(),
+            "report": self.report,
             "searchStats": self.search_stats.to_json_dict(),
         }
 
@@ -264,7 +260,7 @@ def find_regressively_regular_witness(
             cubes_examined += 1
             charge(p**k)
             report = regressive_regularity(f, cube)
-            if report.overall:
+            if report["overall"]:
                 stats = SearchStats(functions_examined, cubes_examined)
                 return WitnessResult(f, cube, report, stats)
     return None

@@ -167,58 +167,6 @@ class JumpFreeWitness(JsonRecord):
             raise ValueError("witness requires value_a < value_b")
 
 
-@dataclass(frozen=True)
-class ClassVerdict:
-    """Outcome for one order-type class over a cube.
-
-    kind "case1": constant value below the cube minimum (value set).
-    kind "case2": every point's value at least its own minimum.
-    kind "violated": both cases fail; offender is a point whose value
-    drops below its own minimum, and conflict_pair (when present) is a
-    pair of (point, value) entries with unequal values showing the
-    constant-low case fails.  When conflict_pair is None the class values
-    are constant but not below the cube minimum, which offender_value
-    already documents.
-    """
-
-    kind: str
-    value: Optional[int] = None
-    offender: Optional[KTuple] = None
-    offender_value: Optional[int] = None
-    conflict_pair: Optional[tuple[tuple[KTuple, int], tuple[KTuple, int]]] = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == CASE1:
-            out["value"] = self.value
-        if self.kind == VIOLATED:
-            out["offender"] = list(self.offender)
-            out["offenderValue"] = self.offender_value
-            out["conflictPair"] = (
-                None
-                if self.conflict_pair is None
-                else [[list(t), v] for t, v in self.conflict_pair]
-            )
-        return out
-
-
-@dataclass
-class RegularityReport:
-    """Per-order-type verdicts over one cube; overall true iff none violated."""
-
-    per_class: dict[KTuple, ClassVerdict]
-    overall: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "perClass": {
-                "(" + ",".join(map(str, sig)) + ")": verdict.to_json_dict()
-                for sig, verdict in self.per_class.items()
-            },
-        }
-
-
 def jump_free_violation(fa: FiniteFunction, fb: FiniteFunction) -> Optional[JumpFreeWitness]:
     """First violation of the directional jump-free implication, or None.
 
@@ -314,36 +262,43 @@ def _cube_power(f: FiniteFunction, cube: Cube) -> list[KTuple]:
     return points
 
 
-def regressive_regularity(f: FiniteFunction, cube: Cube) -> RegularityReport:
+def regressive_regularity(f: FiniteFunction, cube: Cube) -> dict:
     """Classify f over every order-type class realized in the cube's power.
 
     Each class must either be constant with a value below the cube's
-    minimum element, or have every point's value at least that point's own
-    minimum coordinate.  Classes are processed in lexicographic signature
-    order; violations record the first offending point.  Values need not
-    be reflexive here.  The classes come from the cube's (p, k) layout, as
-    positions into the cube's points and values, each read once.
+    minimum element (verdict "case1", with that value), or have every
+    point's value at least that point's own minimum coordinate ("case2").
+    Otherwise it is "violated": offender is the first point valued below
+    its own minimum, and conflictPair the first point and the first valued
+    differently, or null when the class is constant.  Returns {"overall":
+    no class violated, "perClass": {label: verdict}}, classes in
+    lexicographic signature order.  Values need not be reflexive here.  The
+    classes come from the cube's (p, k) layout, as positions into the
+    cube's points and values, each read once.
     """
     points = _cube_power(f, cube)
     values = [f.entries[x] for x in points]
-    per_class: dict[KTuple, ClassVerdict] = {}
-    for sig, positions in order_layout(cube.p, cube.k):
+    per_class = {}
+    overall = True
+    for label, j, positions in order_layout(cube.p, cube.k):
         head = positions[0]
         first = values[head]
-        # min(x) of a point in class sig is its coordinate where sig is 0.  A
-        # constant class below min(E) has its first point below that, too.
-        j = sig.index(0)
+        # min(x) of a point in the class is x[j], where its signature is 0.
+        # A constant class below min(E) has its first point below that, too.
         low = next((i for i in positions if values[i] < points[i][j]), None)
         if first < cube.min_element and all(values[i] == first for i in positions):
-            per_class[sig] = ClassVerdict(kind=CASE1, value=first)
+            per_class[label] = {"kind": CASE1, "value": first}
         elif low is None:
-            per_class[sig] = ClassVerdict(kind=CASE2)
+            per_class[label] = {"kind": CASE2}
         else:
             odd = next((i for i in positions if values[i] != first), None)
-            pair = None if odd is None else ((points[head], first), (points[odd], values[odd]))
-            per_class[sig] = ClassVerdict(
-                kind=VIOLATED, offender=points[low], offender_value=values[low], conflict_pair=pair
-            )
-
-    overall = all(v.kind != VIOLATED for v in per_class.values())
-    return RegularityReport(per_class=per_class, overall=overall)
+            per_class[label] = {
+                "kind": VIOLATED,
+                "offender": list(points[low]),
+                "offenderValue": values[low],
+                "conflictPair": None if odd is None else [
+                    [list(points[head]), first], [list(points[odd]), values[odd]]
+                ],
+            }
+            overall = False
+    return {"overall": overall, "perClass": per_class}

@@ -16,11 +16,11 @@ import bisect
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import CapacityError, JsonRecord
-from .families import Family, WitnessResult, find_regressively_regular_witness
+from .families import Family, find_regressively_regular_witness
 from .intsets import DEFAULT_GAMMAS, GammaTriple, IntMultiset, build_fh
 from .predicates import FiniteFunction
 
@@ -121,69 +121,43 @@ def _solve_dp(ms: IntMultiset) -> Optional[SubsetCertificate]:
     return _certificate(counts)
 
 
-@dataclass
-class ExperimentReport:
-    """Everything one solvability-agreement run produced.
-
-    Timings are informational only; no run asserts or checks any
-    complexity bound.  outcome is "no_witness" when the bounded family
-    exhausted without a regressively regular member, which is a defined
-    result, not an error.
-    """
-
-    outcome: str
-    method: str
-    p: int
-    witness: Optional[WitnessResult] = None
-    fh_equal: Optional[bool] = None
-    solvable_f: Optional[bool] = None
-    solvable_h: Optional[bool] = None
-    agreement: Optional[bool] = None
-    cardinality_ok: Optional[bool] = None
-    f_multiset: Optional[IntMultiset] = None
-    h_multiset: Optional[IntMultiset] = None
-    certificate_f: Optional[SubsetCertificate] = None
-    certificate_h: Optional[SubsetCertificate] = None
-    timings_ms: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "method": self.method,
-            "p": self.p,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-            "fh_equal": self.fh_equal,
-            "solvable_F": self.solvable_f,
-            "solvable_H": self.solvable_h,
-            "agreement": self.agreement,
-            "cardinality_ok": self.cardinality_ok,
-            "f_multiset": None if self.f_multiset is None else self.f_multiset.to_json(),
-            "h_multiset": None if self.h_multiset is None else self.h_multiset.to_json(),
-            "certificate_F": None if self.certificate_f is None else self.certificate_f.to_json_dict(),
-            "certificate_H": None if self.certificate_h is None else self.certificate_h.to_json_dict(),
-            "timings_ms": self.timings_ms,
-        }
-
-
 def run_corollary_experiment(
     members: Iterable[Optional[FiniteFunction]] | Family,
     p: int,
     gammas: GammaTriple = DEFAULT_GAMMAS,
     method: str = "dp",
     k: Optional[int] = None,
-) -> ExperimentReport:
+) -> dict:
     """Witness search, multiset construction, and paired solvability check.
 
     Finds the first regressively regular (member, cube) pair, pulling
     members only up to it (see find_regressively_regular_witness for
     members and k), builds the witness member's paired multisets under
-    multiset semantics, solves both for target zero, and reports whether
-    the decisions agree, along with the p^k cardinality check and
-    wall-clock solve timings.
+    multiset semantics, solves both for target zero, and reports, as JSON,
+    whether the decisions agree, along with the p^k cardinality check and
+    wall-clock solve timings, which are informational only.  outcome is
+    "no_witness", a defined result and not an error, when no member is
+    regressively regular; every other field is then null and timings_ms
+    empty.
     """
     witness = find_regressively_regular_witness(members, p, k)
     if witness is None:
-        return ExperimentReport(outcome=OUTCOME_NO_WITNESS, method=method, p=p)
+        return {
+            "outcome": OUTCOME_NO_WITNESS,
+            "method": method,
+            "p": p,
+            "witness": None,
+            "fh_equal": None,
+            "solvable_F": None,
+            "solvable_H": None,
+            "agreement": None,
+            "cardinality_ok": None,
+            "f_multiset": None,
+            "h_multiset": None,
+            "certificate_F": None,
+            "certificate_H": None,
+            "timings_ms": {},
+        }
 
     f = witness.function
     f_ms, h_ms = build_fh(f, witness.cube, gammas=gammas, semantics="multiset")
@@ -194,24 +168,22 @@ def run_corollary_experiment(
     cert_h = solve_subset_sum(h_ms, method)
     t2 = time.perf_counter()
 
-    solvable_f = cert_f is not None
-    solvable_h = cert_h is not None
-    return ExperimentReport(
-        outcome=OUTCOME_OK,
-        method=method,
-        p=p,
-        witness=witness,
-        fh_equal=f_ms == h_ms,
-        solvable_f=solvable_f,
-        solvable_h=solvable_h,
-        agreement=solvable_f == solvable_h,
-        cardinality_ok=f_ms.total == p**f.k,
-        f_multiset=f_ms,
-        h_multiset=h_ms,
-        certificate_f=cert_f,
-        certificate_h=cert_h,
-        timings_ms={
+    return {
+        "outcome": OUTCOME_OK,
+        "method": method,
+        "p": p,
+        "witness": witness.to_json_dict(),
+        "fh_equal": f_ms == h_ms,
+        "solvable_F": cert_f is not None,
+        "solvable_H": cert_h is not None,
+        "agreement": (cert_f is None) == (cert_h is None),
+        "cardinality_ok": f_ms.total == p**f.k,
+        "f_multiset": f_ms.to_json(),
+        "h_multiset": h_ms.to_json(),
+        "certificate_F": None if cert_f is None else cert_f.to_json_dict(),
+        "certificate_H": None if cert_h is None else cert_h.to_json_dict(),
+        "timings_ms": {
             "solve_F": (t1 - t0) * 1000.0,
             "solve_H": (t2 - t1) * 1000.0,
         },
-    )
+    }

@@ -114,6 +114,10 @@ def _classify_brute(values_by_point, min_e):
     return verdicts
 
 
+def _label(sig):
+    return "(" + ",".join(map(str, sig)) + ")"
+
+
 def test_criterion_3_regularity_oracle():
     with Criterion(3, "regularity oracle", 5.0):
         rng = random.Random(0)
@@ -125,9 +129,10 @@ def test_criterion_3_regularity_oracle():
             f = FiniteFunction(id=f"r{i}", k=2, entries=values)
             report = regressive_regularity(f, cube)
             expected = _classify_brute(values, cube.min_element)
-            got = {sig: v.kind for sig, v in report.per_class.items()}
+            got = {sig: v["kind"] for sig, v in report["perClass"].items()}
+            expected = {_label(sig): kind for sig, kind in expected.items()}
             assert got == expected, (elements, values)
-            assert report.overall == all(v != VIOLATED for v in expected.values())
+            assert report["overall"] == all(v != VIOLATED for v in expected.values())
 
 
 def test_criterion_4_set_version_chain():

@@ -47,18 +47,18 @@ def family_file(tmp_path):
     return str(path)
 
 
+def _function_cube_doc(values, elements=(2, 5)):
+    points = itertools.product(elements, repeat=2)
+    return {
+        "function": {"id": "f0", "k": 2, "entries": [[list(x), v] for x, v in zip(points, values)]},
+        "cube": {"elements": list(elements), "k": 2},
+    }
+
+
 @pytest.fixture
 def function_cube_file(tmp_path):
-    doc = {
-        "function": {
-            "id": "f0",
-            "k": 2,
-            "entries": [[[2, 2], 2], [[2, 5], 2], [[5, 2], 2], [[5, 5], 3]],
-        },
-        "cube": {"elements": [2, 5], "k": 2},
-    }
     path = tmp_path / "fc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_function_cube_doc([2, 2, 2, 3])))
     return str(path)
 
 
@@ -73,23 +73,35 @@ def test_gen_emits_family_document(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, document",
     [
-        ["gen", "--k", "1", "--grid", "5", "--samples", "8"],
-        ["gen", "--family", "predmin", "--grid", "4", "--samples", "20"],
-        ["gen", "--k", "3", "--grid", "3", "--max-domain", "27", "--samples", "10"],
-        ["gen", "--k", "4", "--grid", "2", "--max-domain", "16", "--samples", "3"],
-        ["check-jumpfree", "--family", "constmin"],
-        ["check-full", "--samples", "5"],
-        ["search", "--grid", "5", "--p", "3", "--max-domain", "25"],
-        ["experiment", "--grid", "4"],
+        (["gen", "--k", "1", "--grid", "5", "--samples", "8"], None),
+        (["gen", "--family", "predmin", "--grid", "4", "--samples", "20"], None),
+        (["gen", "--k", "3", "--grid", "3", "--max-domain", "27", "--samples", "10"], None),
+        (["gen", "--k", "4", "--grid", "2", "--max-domain", "16", "--samples", "3"], None),
+        (["check-jumpfree", "--family", "constmin"], None),
+        (["check-full", "--samples", "5"], None),
+        (["search", "--grid", "5", "--p", "3", "--max-domain", "25"], None),
+        (["experiment", "--grid", "4"], None),
+        # The (0,0) class holds 2 and 3, so its conflictPair is a pair.
+        (["check-rr"], _function_cube_doc([2, 2, 2, 3])),
+        # The (0,0) class is constant 3, not below min(E) = 2: conflictPair null.
+        (["check-rr"], _function_cube_doc([3, 2, 2, 3])),
+        (["check-rr"], _function_cube_doc([2, 5, 5, 5])),
+        (["sets"], _function_cube_doc([2, 5, 5, 5])),
+        (["solve"], [[-3, 1], [1, 2], [2, 1], [5, 1]]),
     ],
     ids=[
         "gen-k1", "gen-predmin", "gen-k3", "gen-k4", "check-jumpfree", "check-full", "search",
-        "experiment",
+        "experiment", "check-rr-conflict-pair", "check-rr-no-conflict-pair", "check-rr-regular",
+        "sets", "solve",
     ],
 )
-def test_output_is_the_stdlib_rendering(capsys, argv):
+def test_output_is_the_stdlib_rendering(capsys, tmp_path, argv, document):
+    if document is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(document))
+        argv = argv + ["--input", str(path)]
     _, out = run_cli(capsys, *argv)
     assert out == stdlib_render(json.loads(out)) + "\n"
 
@@ -742,3 +754,5 @@ def test_malformed_documents_keep_the_exit_contract(tmp_path_factory, case):
     assert "Traceback" not in err.getvalue()
     if status == EXIT_ERROR:
         assert out.getvalue() == ""
+    else:
+        assert out.getvalue() == stdlib_render(json.loads(out.getvalue())) + "\n"

@@ -101,11 +101,15 @@ def test_order_layout_matches_grouping_by_signature(k, elements):
         grouped.setdefault(order_signature(x), []).append(x)
     layout = order_layout(len(elements), k)
     assert layout is order_layout(len(elements), k)
-    classes = [(sig, [points[i] for i in positions]) for sig, positions in layout]
-    assert classes == sorted(grouped.items())
-    assert sorted(i for _, positions in layout for i in positions) == list(range(len(points)))
-    firsts = [xs[0] for _, xs in classes]
-    for _, xs in classes:
+    classes = [[points[i] for i in positions] for _, _, positions in layout]
+    signatures = [order_signature(xs[0]) for xs in classes]
+    assert list(zip(signatures, classes)) == sorted(grouped.items())
+    for (label, zero, _), sig in zip(layout, signatures):
+        assert label == "(" + ",".join(map(str, sig)) + ")"
+        assert zero == sig.index(0)
+    assert sorted(i for _, _, positions in layout for i in positions) == list(range(len(points)))
+    firsts = [xs[0] for xs in classes]
+    for xs in classes:
         assert all(order_equivalent(x, xs[0]) for x in xs)
         assert [order_equivalent(xs[0], y) for y in firsts].count(True) == 1
 

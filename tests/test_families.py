@@ -188,7 +188,7 @@ def test_find_witness_max_family_first_member():
     assert result is not None
     assert result.function_id == "max-000"
     assert result.cube.elements == (0, 1)
-    assert result.report.overall
+    assert result.report["overall"]
     assert result.search_stats.functions_examined == 1
     assert result.search_stats.cubes_examined == 1
 
@@ -197,7 +197,7 @@ def test_find_witness_min_family():
     fam = gen_family("min", build_universe(spec()))
     result = find_regressively_regular_witness(fam, 2)
     assert result is not None
-    assert result.report.overall
+    assert result.report["overall"]
 
 
 def test_find_witness_none_for_predmin_on_lone_cubes():

@@ -261,34 +261,34 @@ def test_regressive_regularity_max_rule_all_case2():
     cube = Cube(elements=(2, 5), k=2)
     f = _cube_function({x: max(x) for x in cube.points()})
     report = regressive_regularity(f, cube)
-    assert report.overall
-    assert {v.kind for v in report.per_class.values()} == {CASE2}
-    assert set(report.per_class) == {(0, 0), (0, 1), (1, 0)}
+    assert report["overall"]
+    assert {v["kind"] for v in report["perClass"].values()} == {CASE2}
+    assert set(report["perClass"]) == {"(0,0)", "(0,1)", "(1,0)"}
 
 
 def test_regressive_regularity_constant_zero_all_case1():
     cube = Cube(elements=(2, 5), k=2)
     f = _cube_function({x: 0 for x in cube.points()})
     report = regressive_regularity(f, cube)
-    assert report.overall
-    assert all(v.kind == CASE1 and v.value == 0 for v in report.per_class.values())
+    assert report["overall"]
+    assert all(v["kind"] == CASE1 and v["value"] == 0 for v in report["perClass"].values())
 
 
 def test_regressive_regularity_pinned_violation():
     cube = Cube(elements=(2, 5), k=2)
     f = _cube_function({(2, 2): 2, (2, 5): 2, (5, 2): 2, (5, 5): 3})
     report = regressive_regularity(f, cube)
-    assert not report.overall
-    assert [sig for sig, v in report.per_class.items() if v.kind == VIOLATED] == [(0, 0)]
-    verdict = report.per_class[(0, 0)]
-    assert verdict.kind == VIOLATED
-    assert verdict.offender == (5, 5)
-    assert verdict.offender_value == 3
+    assert not report["overall"]
+    assert [sig for sig, v in report["perClass"].items() if v["kind"] == VIOLATED] == ["(0,0)"]
+    verdict = report["perClass"]["(0,0)"]
+    assert verdict["kind"] == VIOLATED
+    assert verdict["offender"] == [5, 5]
+    assert verdict["offenderValue"] == 3
     # The equal-coordinates class holds values {2, 3}, so the constant
     # low case fails with an explicit conflicting pair.
-    assert verdict.conflict_pair == (((2, 2), 2), ((5, 5), 3))
+    assert verdict["conflictPair"] == [[[2, 2], 2], [[5, 5], 3]]
     # The mixed classes stay fine: 2 >= min(x) = 2 on both.
-    assert report.per_class[(0, 1)].kind == CASE2
+    assert report["perClass"]["(0,1)"]["kind"] == CASE2
 
 
 def test_regressive_regularity_case1_beats_case2_check():
@@ -297,7 +297,7 @@ def test_regressive_regularity_case1_beats_case2_check():
     cube = Cube(elements=(3, 4), k=2)
     f = _cube_function({x: 1 for x in cube.points()})
     report = regressive_regularity(f, cube)
-    assert all(v.kind == CASE1 for v in report.per_class.values())
+    assert all(v["kind"] == CASE1 for v in report["perClass"].values())
 
 
 def test_regressive_regularity_requires_cube_in_domain():
@@ -319,7 +319,7 @@ def test_regressive_regularity_matches_brute_force():
         elements = tuple(sorted(rng.sample(range(8), p)))
         cube = Cube(elements=elements, k=2)
         f = ff("f", {x: rng.randint(0, 9) for x in cube.points()})
-        got = regressive_regularity(f, cube).to_json_dict()
+        got = regressive_regularity(f, cube)
         want = literal_regressive_regularity(f, cube)
         assert got == want and list(got["perClass"]) == list(want["perClass"])
 
@@ -346,7 +346,7 @@ def _cube_functions(draw):
 @example((ff("f", {x: 3 for x in itertools.product((0, 2), repeat=2)}), Cube((0, 2), 2)))
 def test_regressive_regularity_report_matches_literal_oracle(case):
     f, cube = case
-    got = regressive_regularity(f, cube).to_json_dict()
+    got = regressive_regularity(f, cube)
     want = literal_regressive_regularity(f, cube)
     assert got == want
     assert list(got["perClass"]) == list(want["perClass"])
@@ -355,7 +355,7 @@ def test_regressive_regularity_report_matches_literal_oracle(case):
 def test_report_json_shape():
     cube = Cube(elements=(2, 5), k=2)
     f = _cube_function({(2, 2): 2, (2, 5): 2, (5, 2): 2, (5, 5): 3})
-    data = regressive_regularity(f, cube).to_json_dict()
+    data = regressive_regularity(f, cube)
     assert data["overall"] is False
     assert set(data["perClass"]) == {"(0,0)", "(0,1)", "(1,0)"}
     bad = data["perClass"]["(0,0)"]

@@ -32,3 +32,10 @@ def test_scripts_run_and_summarize():
         ["3", "13", "13", "27"],
     ]
     assert not any("MISMATCH" in row for row in census)
+
+
+def test_readme_library_example_runs():
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n") :]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
