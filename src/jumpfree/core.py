@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Set
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional
@@ -189,40 +190,64 @@ def iter_cubes(
     domain: Iterable[KTuple], p: int, charge: Optional[Callable[[int], None]] = None
 ) -> Iterator[Cube]:
     """Every cube of p elements whose full Cartesian power lies inside
-    domain, made as the consumer asks for it.
+    domain, made as the consumer asks for it, in lexicographic order of the
+    element sets, which keeps every downstream search deterministic.
 
-    Backtracks over the sorted field of the domain; a partial element set is
-    abandoned as soon as one of the points it requires is absent.  Results
-    come in lexicographic order of the element sets, which keeps every
-    downstream search deterministic.  charge, when given, is called with
-    the number of points each extension may look up, before it looks.
+    Backtracks over the sorted field of a dict or set domain as it is, on
+    one candidate mask per depth: bit j of fits[i] means the domain holds
+    every point over {e_i, e_j} for k = 2, or e_j's diagonal point for
+    k >= 3, whose candidates then look their other new points up.  charge,
+    when given, is called before each extension and at the end with the
+    points counted, not looked up, for the element sets S tried since:
+    |S|^k - (|S|-1)^k each, the points of S^k that hold S's last element.
     """
     if p < 1:
         raise ValueError("cube size p must be >= 1")
-    points = set(domain)
+    points = domain if isinstance(domain, (dict, Set)) else set(domain)
     k = len(next(iter(points), ()))
     if not points or p > 1 and power_exceeds(p, k, len(points)):
         return  # no room for the p^k points of a cube
     fld = sorted(set().union(*points))
-
-    def extend(partial: tuple[int, ...], start: int) -> Iterator[Cube]:
-        if len(partial) == p:
-            yield Cube(partial, k)
-            return
-        for i in range(start, len(fld) - p + len(partial) + 1):
-            e = fld[i]
-            cand = partial + (e,)
-            if charge is not None:
-                charge(len(cand) ** k - len(partial) ** k)
-            # Points without e were checked when partial was built; a point
-            # with e first at position j has partial before j and cand after.
-            new = itertools.chain.from_iterable(
-                itertools.product(*[partial] * j, (e,), *[cand] * (k - 1 - j)) for j in range(k)
-            )
-            if all(map(points.__contains__, new)):
-                yield from extend(cand, i + 1)
-
-    yield from extend((), 0)
+    n, check, charge = len(fld), None, charge or (lambda points: None)
+    if n < 2 or not power_exceeds(n, k, len(points)):  # the power of the whole field
+        fits = [diag := (1 << n) - 1] * n
+    elif k == 2:
+        at, rows, cols = {e: i for i, e in enumerate(fld)}, [0] * n, [0] * n
+        for a, b in points:
+            rows[at[a]] |= 1 << at[b]
+            cols[at[b]] |= 1 << at[a]
+        fits = [r & c for r, c in zip(rows, cols)]
+        diag = sum(f & 1 << i for i, f in enumerate(fits))
+    else:
+        diag = sum(1 << i for i, e in enumerate(fld) if (e,) * k in points)
+        fits, check = [diag] * n, points.__contains__
+    cost = [(m + 1) ** k - m**k for m in range(p)]
+    chosen, masks, pos, owed = [], [diag], 0, 0
+    while True:
+        m = len(chosen)
+        hi, free = n - p + m, masks[m] >> pos
+        j = pos + (free & -free).bit_length() - 1 if free else hi + 1
+        owed += (min(j, hi) + 1 - pos) * cost[m]
+        if j > hi:  # every set left at depth m was tried
+            if not chosen:
+                break
+            pos = chosen.pop() + 1
+            continue
+        pos = j + 1
+        if check is not None:  # the new points hold e, first at position i
+            part, e = tuple(fld[i] for i in chosen), fld[j]
+            cand = part + (e,)
+            new = (itertools.product(*[part] * i, (e,), *[cand] * (k - 1 - i)) for i in range(k))
+            if not all(map(check, itertools.chain.from_iterable(new))):
+                continue
+        charge(owed)
+        owed = 0
+        if m + 1 == p:
+            yield Cube(tuple(fld[i] for i in chosen) + (fld[j],), k)
+        else:
+            chosen.append(j)
+            masks[m + 1 :] = [masks[m] & fits[j]]
+    charge(owed)
 
 
 def cubes_in(domain: Iterable[KTuple], p: int) -> list[Cube]:

@@ -130,14 +130,14 @@ def _rule_min(dom: Domain) -> dict[KTuple, int]:
 
 
 def _rule_predmin(dom: Domain) -> dict[KTuple, int]:
-    # Minimum coordinate seen among x and all points below x's maximum: one
-    # pass up the levels keeps the running minimum below each, starting
-    # from the largest coordinate, which no min(x) exceeds.
-    floors, floor = {}, max(map(max, dom))
-    for level, group in itertools.groupby(sorted(dom, key=max), key=max):
-        floors[level] = floor
-        floor = min(floor, *map(min, group))
-    return {x: min(floors[max(x)], *x) for x in dom}
+    # Minimum coordinate seen among x and all points below x's maximum.  A
+    # reverse sort keeps each level's least min last, levels descending; the
+    # floor runs up the levels from the largest coordinate, which no min(x) exceeds.
+    highs, lows = list(map(max, dom)), list(map(min, dom))
+    least = dict(sorted(zip(highs, lows), reverse=True))
+    running = itertools.accumulate(reversed(least.values()), min, initial=max(highs))
+    floors = dict(zip(reversed(least), running))
+    return dict(zip(dom, map(min, map(floors.__getitem__, highs), lows)))
 
 
 def _rule_constmin(dom: Domain) -> dict[KTuple, int]:

@@ -182,8 +182,7 @@ def build_fh(
     # Each value lands in [0, min(E)), [min(E), min(x)) or [min(x), oo).
     low = cube.min_element
     per_interval: list[list[int]] = [[], [], []]
-    for x in _cube_power(f, cube):
-        v = f(x)
+    for x, v in zip(*_cube_power(f, cube)):
         if v < low:
             per_interval[INTERVAL_LOW].append(v)
         elif v < min(x):

@@ -240,9 +240,10 @@ def is_full_over(fam: Family, universe: Sequence[Iterable[KTuple]]):
     return None
 
 
-def _cube_power(f: FiniteFunction, cube: Cube) -> list[KTuple]:
-    """The points of the cube power in lexicographic order, checked to lie in
-    f's domain, for k >= 2, a cube of f's arity and p >= 2.  As p >= 2, p^k
+def _cube_power(f: FiniteFunction, cube: Cube) -> tuple[list[KTuple], list[int]]:
+    """The points of the cube power in lexicographic order and f's values
+    on them, for k >= 2, a cube of f's arity and p >= 2.  A point outside
+    f's domain, the first in that order, is refused.  As p >= 2, p^k
     exceeds the domain size once 2^k does, so a huge k is refused before
     any k-tuple is built."""
     if f.k < 2:
@@ -256,10 +257,10 @@ def _cube_power(f: FiniteFunction, cube: Cube) -> list[KTuple]:
     if power_exceeds(cube.p, cube.k, size):
         raise ValueError(f"{refusal}: {cube.p}^{cube.k} points, domain has {size}")
     points = list(cube.points())
-    for x in points:
-        if x not in f.entries:
-            raise ValueError(f"{refusal}: missing {x}")
-    return points
+    try:
+        return points, list(map(f.entries.__getitem__, points))
+    except KeyError as missing:
+        raise ValueError(f"{refusal}: missing {missing.args[0]}") from None
 
 
 def regressive_regularity(f: FiniteFunction, cube: Cube) -> dict:
@@ -276,8 +277,7 @@ def regressive_regularity(f: FiniteFunction, cube: Cube) -> dict:
     classes come from the cube's (p, k) layout, as positions into the
     cube's points and values, each read once.
     """
-    points = _cube_power(f, cube)
-    values = [f.entries[x] for x in points]
+    points, values = _cube_power(f, cube)
     per_class = {}
     overall = True
     for label, j, positions in order_layout(cube.p, cube.k):

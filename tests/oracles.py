@@ -10,7 +10,6 @@ import random
 from collections import Counter
 
 from jumpfree.core import order_signature
-from jumpfree.families import _RULES
 from jumpfree.intsets import IntMultiset
 from jumpfree.predicates import Family, FiniteFunction, JumpFreeWitness
 from jumpfree.subsetsum import SubsetCertificate
@@ -62,32 +61,43 @@ def literal_cubes_in(domain, p):
     ]
 
 
-def literal_search_work(members, p):
-    """The work a witness search over members charges when no member has
-    a witness: every element set S the cube backtracking tries costs the
-    |S|^k - (|S|-1)^k points of its power that hold its last element, and
-    every cube costs its p^k classified points.
+def literal_tried_sets(domain, p):
+    """Every element set S the cube backtracking tries, in its order, the
+    lexicographic order of element tuples.
 
     The backtracking tries S, whose last element is field[i], exactly when
     the power of S minus that element lies in the domain and p - |S|
     larger field elements are left; it tries nothing when p^k exceeds the
     domain size.
     """
+    points = set(domain)
+    if not points:
+        return []
+    k = len(next(iter(points)))
+    if p**k > len(points):
+        return []
+    field = sorted({c for t in points for c in t})
+    tried = []
+    for size in range(1, p + 1):
+        for elements in itertools.combinations(field, size):
+            room = len(field) - field.index(elements[-1]) - 1
+            head = itertools.product(elements[:-1], repeat=k)
+            if room >= p - size and all(t in points for t in head):
+                tried.append(elements)
+    return sorted(tried)
+
+
+def literal_search_work(members, p):
+    """The work a witness search over members charges when no member has
+    a witness: every element set S the cube backtracking tries costs the
+    |S|^k - (|S|-1)^k points of its power that hold its last element, and
+    every cube costs its p^k classified points.
+    """
     work = 0
     for f in members:
-        domain, k = set(f.entries), f.k
-        if p**k > len(domain):
-            continue
-        field = sorted({c for t in domain for c in t})
-        for size in range(1, p + 1):
-            for elements in itertools.combinations(field, size):
-                room = len(field) - field.index(elements[-1]) - 1
-                head = itertools.product(elements[:-1], repeat=k)
-                if room >= p - size and all(t in domain for t in head):
-                    work += size**k - (size - 1) ** k
-        for elements in itertools.combinations(field, p):
-            if all(t in domain for t in itertools.product(elements, repeat=k)):
-                work += p**k
+        k = f.k
+        work += sum(len(s) ** k - (len(s) - 1) ** k for s in literal_tried_sets(f.entries, p))
+        work += p**k * len(literal_cubes_in(f.entries, p))
     return work
 
 
@@ -181,12 +191,24 @@ def literal_universe(spec):
     return list(dict.fromkeys(domains))
 
 
+def literal_rule(kind, dom):
+    """The entries the named rule gives a domain, point by point in the
+    domain's order, from the rule's definition: predmin takes the least of
+    min(x) and min(z) over every z in x's predecessor set, constmin the
+    least coordinate of the whole domain."""
+    if kind == "predmin":
+        return {x: min([min(x)] + [min(z) for z in predecessor_set(dom, x)]) for x in dom}
+    if kind == "constmin":
+        return {x: min(min(z) for z in dom) for x in dom}
+    return {x: {"max": max, "min": min}[kind](x) for x in dom}
+
+
 def literal_gen_family(kind, universe):
     """Copy each domain to tuples, deduplicate and sort it, then apply its rule."""
     members = []
     for i, dom in enumerate(universe):
         points = sorted(frozenset(tuple(t) for t in dom))
-        entries = _RULES[kind](points)
+        entries = literal_rule(kind, points)
         members.append(FiniteFunction(id=f"{kind}-{i:03d}", k=len(points[0]), entries=entries))
     return Family(k=members[0].k, members=tuple(members))
 

@@ -683,6 +683,24 @@ def test_huge_cube_arity_exits_1_with_one_short_line(capsys, tmp_path, command, 
     )
 
 
+@pytest.mark.parametrize("command", ["check-rr", "sets"])
+def test_missing_cube_point_exits_1_naming_the_first_in_lexicographic_order(
+    capsys, tmp_path, command
+):
+    # (2, 5) and (5, 2) are both missing; the refusal names (2, 5), the
+    # first in the power's lexicographic order, and looks no further.
+    entries = [[[x, x], x] for x in (9, 5, 2, 1, 0)]
+    doc = {"function": {"id": "f", "k": 2, "entries": entries}, "cube": {"elements": [2, 5], "k": 2}}
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "jumpfree: error: cube power not contained in domain of f: missing (2, 5)\n"
+    )
+
+
 # Leaves of every JSON type, ints on both sides of every guard.
 _LEAF = st.one_of(
     st.integers(-3, 12),

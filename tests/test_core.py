@@ -18,7 +18,12 @@ from jumpfree.core import (
     order_signature,
     render_json,
 )
-from oracles import literal_cubes_in, order_equivalent, render_json as stdlib_render
+from oracles import (
+    literal_cubes_in,
+    literal_tried_sets,
+    order_equivalent,
+    render_json as stdlib_render,
+)
 
 ktuples = st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=5).map(tuple)
 
@@ -198,6 +203,32 @@ def test_iter_cubes_matches_subset_enumeration(k, domain, p):
     # Points are drawn as triples and cut to arity k.
     domain = {tuple(t[:k]) for t in domain}
     assert [c.elements for c in iter_cubes(domain, p)] == literal_cubes_in(domain, p)
+
+
+def _tried_points(sets, k):
+    return sum(len(s) ** k - (len(s) - 1) ** k for s in sets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    domain=st.sets(st.tuples(*[st.integers(0, 5)] * 3), max_size=60),
+    p=st.integers(1, 4),
+)
+@example(2, set(itertools.product(range(5), repeat=3)), 3)
+@example(3, set(itertools.product((0, 2, 5), repeat=3)), 2)
+@example(3, set(itertools.product(range(4), repeat=3)) - {(1, 2, 3)}, 3)
+@example(2, {(a, b, 0) for a, b in _multipartite(14, 6)}, 6)
+@example(2, {(a, b, 0) for a, b in _multipartite(14, 6)}, 7)
+def test_iter_cubes_charges_every_tried_set_before_each_cube(k, domain, p):
+    # Each cube arrives with every element set tried up to it charged, and
+    # nothing later; at exhaustion every tried set is charged.
+    domain = {tuple(t[:k]) for t in domain}
+    tried = literal_tried_sets(domain, p)
+    charged = []
+    for cube in iter_cubes(domain, p, charged.append):
+        assert sum(charged) == _tried_points([s for s in tried if s <= cube.elements], k)
+    assert sum(charged) == _tried_points(tried, k)
 
 
 def test_first_cube_of_a_large_grid_is_made_alone():

@@ -26,7 +26,13 @@ from jumpfree.predicates import (
     jump_free_violation,
     regressive_regularity,
 )
-from oracles import is_reflexive, literal_gen_family, literal_search_work, literal_universe
+from oracles import (
+    is_reflexive,
+    literal_gen_family,
+    literal_rule,
+    literal_search_work,
+    literal_universe,
+)
 
 
 def spec(**overrides):
@@ -311,6 +317,15 @@ def test_gen_family_over_hand_made_domains_matches_normalising_oracle(kind, univ
     want = literal_gen_family(kind, universe)
     assert fam == want
     assert fam.to_json_dict() == want.to_json_dict()
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(FAMILY_KINDS), universe=st.integers(1, 3).flatmap(_hand_made_universes))
+@example("predmin", [((3, 3), (0, 4), (1, 1), (4, 0), (3, 3), (2, 2))])
+def test_rules_give_the_literal_entries_in_domain_order(kind, universe):
+    for dom in universe:
+        got = gen_family(kind, [dom]).members[0].entries
+        assert list(got.items()) == list(literal_rule(kind, dom).items())
 
 
 _GOOD = ((0, 0), (1, 1), (0, 1))
