@@ -193,13 +193,14 @@ def iter_cubes(
     domain, made as the consumer asks for it, in lexicographic order of the
     element sets, which keeps every downstream search deterministic.
 
-    Backtracks over the sorted field of a dict or set domain as it is, on
-    one candidate mask per depth: bit j of fits[i] means the domain holds
-    every point over {e_i, e_j} for k = 2, or e_j's diagonal point for
-    k >= 3, whose candidates then look their other new points up.  charge,
-    when given, is called before each extension and at the end with the
-    points counted, not looked up, for the element sets S tried since:
-    |S|^k - (|S|-1)^k each, the points of S^k that hold S's last element.
+    Backtracks over the sorted field of a dict or set domain as it is, with
+    linear set-up, on a candidate bit mask per depth: all ones for the full
+    power of the field; for a dense k = 2 domain, bit j of fits[i] means it
+    holds every point over {e_i, e_j}.  Other domains take the elements on
+    the diagonal and look their new points up.  charge, when given, is
+    called before each extension and at the end with the points counted,
+    not looked up, for the element sets S tried since: |S|^k - (|S|-1)^k
+    each, the points of S^k that hold S's last element.
     """
     if p < 1:
         raise ValueError("cube size p must be >= 1")
@@ -211,42 +212,41 @@ def iter_cubes(
     n, check, charge = len(fld), None, charge or (lambda points: None)
     if n < 2 or not power_exceeds(n, k, len(points)):  # the power of the whole field
         fits = [diag := (1 << n) - 1] * n
-    elif k == 2:
-        at, rows, cols = {e: i for i, e in enumerate(fld)}, [0] * n, [0] * n
-        for a, b in points:
-            rows[at[a]] |= 1 << at[b]
-            cols[at[b]] |= 1 << at[a]
-        fits = [r & c for r, c in zip(rows, cols)]
-        diag = sum(f & 1 << i for i, f in enumerate(fits))
-    else:
-        diag = sum(1 << i for i, e in enumerate(fld) if (e,) * k in points)
-        fits, check = [diag] * n, points.__contains__
+    elif k == 2 and n * n <= 4 * len(points):  # dense: 2n^2 digits, at most 8 per point
+        at, rows = {e: i for i, e in enumerate(fld)}, [bytearray(b"0" * n) for _ in range(2 * n)]
+        for a, b in points:  # the rows, then the columns, with bit 0 as the last digit
+            rows[at[a]][~at[b]] = rows[n + at[b]][~at[a]] = 49
+        fits = [int(r, 2) & int(c, 2) for r, c in zip(rows, rows[n:])]
+        diag = int(bytes(48 + ((e, e) in points) for e in reversed(fld)), 2)
+    else:  # one digit per element, 1 when the domain holds its diagonal point
+        diag, on, check = 0, bytes(48 + ((e,) * k in points) for e in fld), points.__contains__
     cost = [(m + 1) ** k - m**k for m in range(p)]
-    chosen, masks, pos, owed = [], [diag], 0, 0
+    chosen, part, masks, pos, owed = [], (), [diag], 0, 0
     while True:
-        m = len(chosen)
-        hi, free = n - p + m, masks[m] >> pos
-        j = pos + (free & -free).bit_length() - 1 if free else hi + 1
-        owed += (min(j, hi) + 1 - pos) * cost[m]
+        hi = n - p + (m := len(chosen))
+        if check is None:  # the lowest candidate bit at or past pos
+            free = masks[m] >> pos
+            j = min(pos + (free & -free).bit_length() - 1, hi + 1) if free else hi + 1
+        elif (j := on.find(49, pos, hi + 1)) < 0:  # the next element on the diagonal
+            j = hi + 1
+        owed += (j - pos + (j <= hi)) * cost[m]  # the sets skipped, then j's
         if j > hi:  # every set left at depth m was tried
             if not chosen:
                 break
-            pos = chosen.pop() + 1
+            pos, part = chosen.pop() + 1, part[:-1]
             continue
-        pos = j + 1
+        pos, cand = j + 1, part + (e := (fld[j],))
         if check is not None:  # the new points hold e, first at position i
-            part, e = tuple(fld[i] for i in chosen), fld[j]
-            cand = part + (e,)
-            new = (itertools.product(*[part] * i, (e,), *[cand] * (k - 1 - i)) for i in range(k))
+            new = (itertools.product(*[part] * i, e, *[cand] * (k - 1 - i)) for i in range(k))
             if not all(map(check, itertools.chain.from_iterable(new))):
                 continue
         charge(owed)
         owed = 0
         if m + 1 == p:
-            yield Cube(tuple(fld[i] for i in chosen) + (fld[j],), k)
+            yield Cube(cand, k)
         else:
             chosen.append(j)
-            masks[m + 1 :] = [masks[m] & fits[j]]
+            part, masks[m + 1 :] = cand, [masks[m] & fits[j]] if check is None else [0]
     charge(owed)
 
 

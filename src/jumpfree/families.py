@@ -235,9 +235,10 @@ def find_regressively_regular_witness(
     left unbuilt, is counted as examined.  k is the members' arity; left
     out, it is members.k and a whole Family is scanned.
     Returns None when the members are exhausted; over a truncated universe
-    that outcome carries no meaning beyond the scanned scope.  Points looked
-    up to enumerate cubes and the p^k classified per cube share one budget,
-    UNIVERSE_MAX_POINTS; CapacityError is raised before work past it.
+    that outcome carries no meaning beyond the scanned scope.  Element sets
+    tried for cubes (charged before the next extension and at the end) and
+    the p^k points of each cube (charged before it is classified) share one
+    budget, UNIVERSE_MAX_POINTS, and CapacityError is raised when it is passed.
     """
     if p < 2:
         raise ValueError("witness search requires cube size p >= 2")

@@ -245,6 +245,24 @@ def test_first_cube_of_a_large_grid_is_made_alone():
     assert peak < 500_000
 
 
+def test_sparse_wide_field_builds_no_quadratic_masks():
+    # 20,000 points over 10,000 elements: masks of n bits per element would
+    # take n^2 / 8 bytes each for rows and columns, about 25 MB, where the
+    # diagonal and lookups need memory linear in the domain.
+    n = 10_000
+    domain = {(i, i) for i in range(n)} | {(i, n - 1 - i) for i in range(n)}
+    charged = []
+    tracemalloc.start()
+    try:
+        first = next(iter_cubes(domain, 2, charged.append))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == Cube((0, n - 1), 2)
+    assert sum(charged) == 1 + 3 * (n - 1)  # {0}, then {0, j} for every j
+    assert peak < 3_000_000
+
+
 _json_values = st.recursive(
     st.none()
     | st.booleans()
