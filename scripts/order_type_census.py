@@ -12,10 +12,27 @@ import argparse
 import math
 import time
 
-from jumpfree import enumerate_order_types
+
+def enumerate_order_types(k: int) -> list[tuple[int, ...]]:
+    """All order signatures of arity k, in lexicographic order.
+
+    A signature's values are exactly range(r) for some r: it is grown one
+    position at a time, in increasing value order, keeping prefixes whose
+    missing ranks the positions left can fill.  The count is the number of
+    ordered set partitions of k items; k^k is a coarse upper bound.
+    """
+    if k < 1:
+        raise ValueError("arity k must be >= 1")
+    sigs: list[tuple[int, ...]] = [()]
+    for left in reversed(range(k)):
+        grown = (s + (v,) for s in sigs for v in range(k))
+        sigs = [t for t in grown if max(t) + 1 - len(set(t)) <= left]
+    return sigs
 
 
 def fubini(k: int) -> int:
+    # Ordered-set-partition counts by direct recurrence: choose the block
+    # of lowest rank, then arrange the rest.
     if k == 0:
         return 1
     return sum(math.comb(k, j) * fubini(k - j) for j in range(1, k + 1))

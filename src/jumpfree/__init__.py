@@ -13,7 +13,6 @@ from .core import (
     Cube,
     KTuple,
     cubes_in,
-    enumerate_order_types,
     order_signature,
 )
 from .families import (

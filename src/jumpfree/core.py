@@ -129,23 +129,6 @@ def order_layout(p: int, k: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]
     )
 
 
-def enumerate_order_types(k: int) -> list[KTuple]:
-    """All order signatures of arity k, in lexicographic order.
-
-    A signature's values are exactly range(r) for some r: it is grown one
-    position at a time, in increasing value order, keeping prefixes whose
-    missing ranks the positions left can fill.  The count is the number of
-    ordered set partitions of k items; k^k is a coarse upper bound.
-    """
-    if k < 1:
-        raise ValueError("arity k must be >= 1")
-    sigs: list[KTuple] = [()]
-    for left in reversed(range(k)):
-        grown = (s + (v,) for s in sigs for v in range(k))
-        sigs = [t for t in grown if max(t) + 1 - len(set(t)) <= left]
-    return sigs
-
-
 def power_exceeds(p: int, k: int, size: int) -> bool:
     """Whether p^k > size, for p >= 2; 2^k passes size before a huge power is computed."""
     return k >= size.bit_length() or p**k > size
@@ -194,13 +177,14 @@ def iter_cubes(
     element sets, which keeps every downstream search deterministic.
 
     Backtracks over the sorted field of a dict or set domain as it is, with
-    linear set-up, on a candidate bit mask per depth: all ones for the full
-    power of the field; for a dense k = 2 domain, bit j of fits[i] means it
-    holds every point over {e_i, e_j}.  Other domains take the elements on
-    the diagonal and look their new points up.  charge, when given, is
-    called before each extension and at the end with the points counted,
-    not looked up, for the element sets S tried since: |S|^k - (|S|-1)^k
-    each, the points of S^k that hold S's last element.
+    linear set-up, taking each candidate as the next 1 in one digit per
+    element.  A domain that is the full power of its field holds every set,
+    so its digits are all 1 and nothing is looked up.  Any other domain
+    sets the digit of an element when it holds that element's diagonal
+    point, and looks up the new points of each extension.  charge, when
+    given, is called before each extension and at the end with the points
+    counted, not looked up, for the element sets S tried since:
+    |S|^k - (|S|-1)^k each, the points of S^k that hold S's last element.
     """
     if p < 1:
         raise ValueError("cube size p must be >= 1")
@@ -209,25 +193,16 @@ def iter_cubes(
     if not points or p > 1 and power_exceeds(p, k, len(points)):
         return  # no room for the p^k points of a cube
     fld = sorted(set().union(*points))
-    n, check, charge = len(fld), None, charge or (lambda points: None)
+    n, charge = len(fld), charge or (lambda points: None)
     if n < 2 or not power_exceeds(n, k, len(points)):  # the power of the whole field
-        fits = [diag := (1 << n) - 1] * n
-    elif k == 2 and n * n <= 4 * len(points):  # dense: 2n^2 digits, at most 8 per point
-        at, rows = {e: i for i, e in enumerate(fld)}, [bytearray(b"0" * n) for _ in range(2 * n)]
-        for a, b in points:  # the rows, then the columns, with bit 0 as the last digit
-            rows[at[a]][~at[b]] = rows[n + at[b]][~at[a]] = 49
-        fits = [int(r, 2) & int(c, 2) for r, c in zip(rows, rows[n:])]
-        diag = int(bytes(48 + ((e, e) in points) for e in reversed(fld)), 2)
-    else:  # one digit per element, 1 when the domain holds its diagonal point
-        diag, on, check = 0, bytes(48 + ((e,) * k in points) for e in fld), points.__contains__
+        on, check = b"1" * n, None
+    else:
+        on, check = bytes(48 + ((e,) * k in points) for e in fld), points.__contains__
     cost = [(m + 1) ** k - m**k for m in range(p)]
-    chosen, part, masks, pos, owed = [], (), [diag], 0, 0
+    chosen, part, pos, owed = [], (), 0, 0
     while True:
         hi = n - p + (m := len(chosen))
-        if check is None:  # the lowest candidate bit at or past pos
-            free = masks[m] >> pos
-            j = min(pos + (free & -free).bit_length() - 1, hi + 1) if free else hi + 1
-        elif (j := on.find(49, pos, hi + 1)) < 0:  # the next element on the diagonal
+        if (j := on.find(49, pos, hi + 1)) < 0:  # no candidate left at depth m
             j = hi + 1
         owed += (j - pos + (j <= hi)) * cost[m]  # the sets skipped, then j's
         if j > hi:  # every set left at depth m was tried
@@ -246,7 +221,7 @@ def iter_cubes(
             yield Cube(cand, k)
         else:
             chosen.append(j)
-            part, masks[m + 1 :] = cand, [masks[m] & fits[j]] if check is None else [0]
+            part = cand
     charge(owed)
 
 

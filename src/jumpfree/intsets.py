@@ -156,10 +156,6 @@ class IntMultiset:
             return self._counts == other._counts
         return NotImplemented
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v}:{m}" for v, m in self.items())
-        return f"IntMultiset({{{inner}}})"
-
 
 def build_fh(
     f: FiniteFunction,

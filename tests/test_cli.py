@@ -370,6 +370,23 @@ def test_capacity_error_exits_1(capsys, tmp_path):
     assert "capacity" in capsys.readouterr().err
 
 
+def test_exhaustive_answers_a_small_multiset_of_large_values(capsys, tmp_path):
+    # dp's table grows with the values, so it refuses two items that
+    # exhaustive decides at once: the reason --method exhaustive stays.
+    path = tmp_path / "ms.json"
+    path.write_text(json.dumps([[1000000000, 1], [-1000000000, 1]]))
+    assert main(["solve", "--input", str(path), "--method", "dp"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jumpfree: capacity: dp prefixes capped at 268435456 bits, got 4000000002\n"
+    status, doc = run_json(capsys, "solve", "--input", str(path), "--method", "exhaustive")
+    assert status == EXIT_OK
+    assert doc["report"]["certificate"] == {
+        "chosen": [[-1000000000, 1], [1000000000, 1]],
+        "sum": 0,
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
