@@ -109,12 +109,12 @@ def _load_members(
     report.family, else generated from the universe flags, with their
     arity k and the universe spec's JSON (None for --input).  Generated
     members come as a stream, over universe when the caller has built it,
-    so a search stops generation at its witness; with a cube side p, those
-    too small for a p-cube come unbuilt (see iter_family)."""
+    so a search stops generation at its witness; given a cube side p, each
+    domain too small for a p-cube comes as None (see iter_universe)."""
     if cfg.input is None:
         spec = cfg.universe_spec()
-        domains = iter_universe(spec) if universe is None else universe
-        return iter_family(cfg.family, domains, p), spec.k, spec.to_json_dict()
+        domains = iter_universe(spec, p) if universe is None else universe
+        return iter_family(cfg.family, domains), spec.k, spec.to_json_dict()
     with _reading(cfg.input, "not a family document") as data:
         if "members" not in data:
             data = data["report"]["family"]

@@ -14,6 +14,7 @@ refutation of the existence claim for full families.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .core import CapacityError, Cube, JsonRecord, KTuple, iter_cubes, power_exceeds
-from .predicates import Family, FiniteFunction, regressive_regularity
+from .predicates import VIOLATED, Family, FiniteFunction, iter_class_verdicts
 
 Domain = tuple[KTuple, ...]
 
@@ -86,34 +87,38 @@ def _points_bound(spec: UniverseSpec, cap: int) -> int:
     return bound
 
 
-def iter_universe(spec: UniverseSpec) -> Iterator[Domain]:
+def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Optional[Domain]]:
     """The universe described by a spec, one domain at a time.
 
     Cube domains come ordered by element-set size then lexicographic
     element set; random domains follow in draw order, each drawn only when
     the consumer asks for it.  Duplicates are dropped, keeping first
-    occurrence.  Raises CapacityError before yielding anything when the
-    spec may need more than UNIVERSE_MAX_POINTS points.
+    occurrence: a draw of a cube power's size repeats a cube domain exactly
+    when it is the full power of its own elements.  Given a cube side p >= 2,
+    each domain of fewer than p^k points (no room for a p-cube) comes as
+    None: a cube domain is then never built, and a random one is still
+    drawn, so later draws do not change.  Raises CapacityError before
+    yielding anything when the spec may need over UNIVERSE_MAX_POINTS points.
     """
     if _points_bound(spec, UNIVERSE_MAX_POINTS) > UNIVERSE_MAX_POINTS:
         raise CapacityError(f"universe capped at {UNIVERSE_MAX_POINTS} points")
-    seen: set[Domain] = set()
-
-    for size, _ in _cube_sizes(spec):
+    k, powers, seen = spec.k, set(), set()
+    small = (lambda size: False) if p is None else functools.partial(power_exceeds, p, k)
+    for size, power in _cube_sizes(spec):
+        powers.add(power)
+        built = not small(power)
         for elems in itertools.combinations(range(spec.grid_bound), size):
-            dom = tuple(itertools.product(elems, repeat=spec.k))
-            seen.add(dom)
-            yield dom
+            yield tuple(itertools.product(elems, repeat=k)) if built else None
 
     if spec.sample_count:  # draws index the grid in product's lexicographic order
-        grid = list(itertools.product(range(spec.grid_bound), repeat=spec.k))
+        grid = list(itertools.product(range(spec.grid_bound), repeat=k))
         rng = random.Random(spec.seed)
         for _ in range(spec.sample_count):
             size = rng.randint(1, min(spec.max_domain_size, len(grid)))
             dom = tuple(sorted(rng.sample(grid, size)))
-            if dom not in seen:
+            if not (size in powers and len(set().union(*dom)) ** k == size) and dom not in seen:
                 seen.add(dom)
-                yield dom
+                yield None if small(size) else dom
 
 
 def build_universe(spec: UniverseSpec) -> list[Domain]:
@@ -130,14 +135,17 @@ def _rule_min(dom: Domain) -> dict[KTuple, int]:
 
 
 def _rule_predmin(dom: Domain) -> dict[KTuple, int]:
-    # Minimum coordinate seen among x and all points below x's maximum.  A
-    # reverse sort keeps each level's least min last, levels descending; the
-    # floor runs up the levels from the largest coordinate, which no min(x) exceeds.
+    # Minimum coordinate seen among x and all points below x's maximum.  Above
+    # top, the lowest level holding the least coordinate, every point takes it;
+    # the floors below run up the levels from top, which no min(x) there exceeds.
     highs, lows = list(map(max, dom)), list(map(min, dom))
-    least = dict(sorted(zip(highs, lows), reverse=True))
-    running = itertools.accumulate(reversed(least.values()), min, initial=max(highs))
-    floors = dict(zip(reversed(least), running))
-    return dict(zip(dom, map(min, map(floors.__getitem__, highs), lows)))
+    least = min(lows)
+    top = min(itertools.compress(highs, map(least.__eq__, lows)))
+    floors, floor = {}, top
+    for high, low in sorted(itertools.compress(zip(highs, lows), map(top.__ge__, highs))):
+        floors.setdefault(high, floor)
+        floor = min(floor, low)
+    return {x: least if h > top else min(floors[h], low) for x, h, low in zip(dom, highs, lows)}
 
 
 def _rule_constmin(dom: Domain) -> dict[KTuple, int]:
@@ -156,7 +164,7 @@ FAMILY_KINDS = tuple(_RULES)
 
 
 def iter_family(
-    kind: str, universe: Iterable[Domain], p: Optional[int] = None
+    kind: str, universe: Iterable[Optional[Domain]]
 ) -> Iterator[Optional[FiniteFunction]]:
     """One member per universe domain, valued by the named rule, made as
     the domains arrive, so a consumer that stops early stops generation.
@@ -164,22 +172,23 @@ def iter_family(
     All four rules are reflexive by construction.  max, min, and predmin
     yield jump-free families; constmin does not, by design, so checkers
     have a guaranteed negative fixture.  Member i has id "{kind}-{i:03d}",
-    and every member takes the arity of the first domain.  Given a cube
-    side p >= 2, a domain of fewer than p^k points, which holds no p-cube,
-    yields None in its member's place, unbuilt and unchecked.
+    and every member takes the arity of the first domain built.  A None in
+    the universe, a domain iter_universe left unbuilt as too small for a
+    p-cube, yields None in its member's place.
     """
     if kind not in _RULES:
         raise ValueError(f"unknown family kind {kind!r}, expected one of {FAMILY_KINDS}")
     rule = _RULES[kind]
-    k = None
+    i = k = None
     for i, dom in enumerate(universe):
-        if not dom:
+        if dom is None:
+            yield None
+        elif not dom:
             raise ValueError("universe domains must be nonempty")
-        if k is None:
-            k = len(dom[0])
-        small = p is not None and power_exceeds(p, k, len(dom))
-        yield None if small else FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=rule(dom))
-    if k is None:
+        else:
+            k = k or len(dom[0])
+            yield FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=rule(dom))
+    if i is None:
         raise ValueError("cannot generate a family over an empty universe")
 
 
@@ -260,8 +269,12 @@ def find_regressively_regular_witness(
         for cube in iter_cubes(f.entries, p, charge):
             cubes_examined += 1
             charge(p**k)
-            report = regressive_regularity(f, cube)
-            if report["overall"]:
+            per_class = {}
+            for label, verdict in iter_class_verdicts(f, cube):
+                if verdict["kind"] == VIOLATED:
+                    break
+                per_class[label] = verdict
+            else:
                 stats = SearchStats(functions_examined, cubes_examined)
-                return WitnessResult(f, cube, report, stats)
+                return WitnessResult(f, cube, {"overall": True, "perClass": per_class}, stats)
     return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Cube,
@@ -263,23 +263,21 @@ def _cube_power(f: FiniteFunction, cube: Cube) -> tuple[list[KTuple], list[int]]
         raise ValueError(f"{refusal}: missing {missing.args[0]}") from None
 
 
-def regressive_regularity(f: FiniteFunction, cube: Cube) -> dict:
-    """Classify f over every order-type class realized in the cube's power.
+def iter_class_verdicts(f: FiniteFunction, cube: Cube) -> Iterator[tuple[str, dict]]:
+    """(label, verdict) of each order-type class realized in the cube's
+    power, in lexicographic signature order, each classified as it is asked
+    for, so a consumer may stop at the first violated class.
 
     Each class must either be constant with a value below the cube's
     minimum element (verdict "case1", with that value), or have every
     point's value at least that point's own minimum coordinate ("case2").
     Otherwise it is "violated": offender is the first point valued below
     its own minimum, and conflictPair the first point and the first valued
-    differently, or null when the class is constant.  Returns {"overall":
-    no class violated, "perClass": {label: verdict}}, classes in
-    lexicographic signature order.  Values need not be reflexive here.  The
-    classes come from the cube's (p, k) layout, as positions into the
-    cube's points and values, each read once.
+    differently, or null when the class is constant.  Values need not be
+    reflexive here.  The classes come from the cube's (p, k) layout, as
+    positions into the cube's points and values, each read once.
     """
     points, values = _cube_power(f, cube)
-    per_class = {}
-    overall = True
     for label, j, positions in order_layout(cube.p, cube.k):
         head = positions[0]
         first = values[head]
@@ -287,12 +285,12 @@ def regressive_regularity(f: FiniteFunction, cube: Cube) -> dict:
         # A constant class below min(E) has its first point below that, too.
         low = next((i for i in positions if values[i] < points[i][j]), None)
         if first < cube.min_element and all(values[i] == first for i in positions):
-            per_class[label] = {"kind": CASE1, "value": first}
+            yield label, {"kind": CASE1, "value": first}
         elif low is None:
-            per_class[label] = {"kind": CASE2}
+            yield label, {"kind": CASE2}
         else:
             odd = next((i for i in positions if values[i] != first), None)
-            per_class[label] = {
+            yield label, {
                 "kind": VIOLATED,
                 "offender": list(points[low]),
                 "offenderValue": values[low],
@@ -300,5 +298,11 @@ def regressive_regularity(f: FiniteFunction, cube: Cube) -> dict:
                     [list(points[head]), first], [list(points[odd]), values[odd]]
                 ],
             }
-            overall = False
+
+
+def regressive_regularity(f: FiniteFunction, cube: Cube) -> dict:
+    """Every verdict of iter_class_verdicts(f, cube), as {"overall": no class
+    violated, "perClass": {label: verdict}}, classes in signature order."""
+    per_class = dict(iter_class_verdicts(f, cube))
+    overall = all(v["kind"] != VIOLATED for v in per_class.values())
     return {"overall": overall, "perClass": per_class}

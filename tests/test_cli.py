@@ -507,6 +507,19 @@ def test_empty_universe_exits_1(capsys, command):
     assert captured.err == "jumpfree: error: cannot generate a family over an empty universe\n"
 
 
+@pytest.mark.parametrize(
+    "command, key, value", [("search", "found", False), ("experiment", "outcome", "no_witness")]
+)
+def test_universe_of_only_small_domains_exits_0(capsys, command, key, value):
+    # The grid's 2x2 cubes and every draw have fewer than 3^2 points: the
+    # universe is not empty, it just holds no 3-cube.
+    argv = ["--k", "2", "--grid", "3", "--max-domain", "4", "--samples", "0", "--p", "3"]
+    status, doc = run_json(capsys, command, *argv)
+    assert status == EXIT_OK
+    assert doc["report"][key] == value
+    assert doc["violation"] is None
+
+
 @pytest.mark.parametrize("command", ["solve", "check-jumpfree", "check-rr"])
 def test_deeply_nested_document_exits_1(capsys, tmp_path, command):
     path = tmp_path / "deep.json"

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jumpfree import families
-from jumpfree.core import CapacityError
+from jumpfree.core import CapacityError, power_exceeds
 from jumpfree.families import (
     FAMILY_KINDS,
     UniverseSpec,
@@ -23,6 +23,7 @@ from jumpfree.predicates import (
     FiniteFunction,
     is_full_over,
     is_jump_free_family,
+    iter_class_verdicts,
     jump_free_violation,
     regressive_regularity,
 )
@@ -292,13 +293,20 @@ def test_streamed_search_matches_search_over_whole_family(
     p=st.integers(2, 4),
 )
 @example("max", 2, 4, 16, 30, 0, True, 4)  # the 4x4 grid is the witness
+@example("max", 2, 2, 4, 20, 0, True, 2)  # four draws repeat the 2x2 grid
+@example("max", 2, 2, 4, 20, 0, False, 2)  # the same draws, none a repeat
+@example("min", 1, 5, 4, 20, 3, True, 3)  # k = 1: every draw of 2 to 4 points is a cube
 def test_search_over_size_filtered_stream_matches_search_over_whole_family(
     kind, k, grid_bound, max_domain_size, sample_count, seed, include_all_cubes, p
 ):
     s = UniverseSpec(k, grid_bound, max_domain_size, sample_count, seed, include_all_cubes)
+    domains = list(iter_universe(s, p))
+    assert domains == [None if power_exceeds(p, k, len(d)) else d for d in literal_universe(s)]
+    filtered = list(iter_family(kind, iter(domains)))
     members = gen_family(kind, build_universe(s)).members
-    filtered = list(iter_family(kind, iter_universe(s), p))
-    assert filtered == [None if len(f.entries) < p**k else f for f in members]
+    assert filtered == [None if d is None else f for d, f in zip(domains, members)]
+    if k < 2:
+        return
     whole = find_regressively_regular_witness(members, p, k)
     assert find_regressively_regular_witness(iter(filtered), p, k) == whole
 
@@ -395,11 +403,11 @@ def test_search_budget_is_charged_before_the_work(monkeypatch):
     # no-witness grid: the last cube is refused before it is classified.
     classified = []
 
-    def counting_regularity(f, cube):
+    def counting_verdicts(f, cube):
         classified.append(cube)
-        return regressive_regularity(f, cube)
+        return iter_class_verdicts(f, cube)
 
-    monkeypatch.setattr(families, "regressive_regularity", counting_regularity)
+    monkeypatch.setattr(families, "iter_class_verdicts", counting_verdicts)
     work = literal_search_work([_NO_WITNESS], 3)
     monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", work - 9)
     with pytest.raises(CapacityError):
