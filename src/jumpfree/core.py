@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Set
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -153,16 +154,8 @@ class Cube(JsonRecord):
             raise ValueError(f"cube arity must be an integer >= 1, got {self.k!r}")
 
     @property
-    def p(self) -> int:
-        return len(self.elements)
-
-    @property
     def min_element(self) -> int:
         return self.elements[0]
-
-    def points(self) -> Iterator[KTuple]:
-        """All p^k points of the Cartesian power, in lexicographic order."""
-        return itertools.product(self.elements, repeat=self.k)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Cube":
@@ -171,20 +164,21 @@ class Cube(JsonRecord):
 
 def iter_cubes(
     domain: Iterable[KTuple], p: int, charge: Optional[Callable[[int], None]] = None
-) -> Iterator[Cube]:
-    """Every cube of p elements whose full Cartesian power lies inside
-    domain, made as the consumer asks for it, in lexicographic order of the
-    element sets, which keeps every downstream search deterministic.
+) -> Iterator[tuple[int, ...]]:
+    """The element tuple of every cube of p elements whose full Cartesian
+    power lies inside domain, made as the consumer asks for it, in
+    lexicographic order, which keeps every downstream search deterministic.
 
-    Backtracks over the sorted field of a dict or set domain as it is, with
-    linear set-up, taking each candidate as the next 1 in one digit per
-    element.  A domain that is the full power of its field holds every set,
-    so its digits are all 1 and nothing is looked up.  Any other domain
-    sets the digit of an element when it holds that element's diagonal
-    point, and looks up the new points of each extension.  charge, when
-    given, is called before each extension and at the end with the points
-    counted, not looked up, for the element sets S tried since:
-    |S|^k - (|S|-1)^k each, the points of S^k that hold S's last element.
+    A domain that is the full power of its sorted field holds every set, so
+    its cubes are the field's p-combinations.  Any other domain is
+    backtracked over with linear set-up: a candidate is the next element
+    whose diagonal point the domain holds, and an extension looks up its
+    new points.  charge, when given, is called with the points counted, not
+    looked up, for the element sets S tried: |S|^k - (|S|-1)^k each, the
+    points of S^k that hold S's last element.  On a full power every set
+    tried extends, and those since the last cube, the prefixes that a cube
+    does not share with it, are charged in one sum before it.  Otherwise
+    the sets are charged before each extension and at the end.
     """
     if p < 1:
         raise ValueError("cube size p must be >= 1")
@@ -195,9 +189,14 @@ def iter_cubes(
     fld = sorted(set().union(*points))
     n, charge = len(fld), charge or (lambda points: None)
     if n < 2 or not power_exceeds(n, k, len(points)):  # the power of the whole field
-        on, check = b"1" * n, None
-    else:
-        on, check = bytes(48 + ((e,) * k in points) for e in fld), points.__contains__
+        last = ()
+        for cube in itertools.combinations(fld, p):
+            shared = sum(itertools.takewhile(bool, map(operator.eq, cube, last)))
+            charge(p**k - shared**k)  # new prefix sizes t > shared, each t^k - (t-1)^k
+            yield cube
+            last = cube
+        return
+    on, check = bytes(48 + ((e,) * k in points) for e in fld), points.__contains__
     cost = [(m + 1) ** k - m**k for m in range(p)]
     chosen, part, pos, owed = [], (), 0, 0
     while True:
@@ -211,14 +210,13 @@ def iter_cubes(
             pos, part = chosen.pop() + 1, part[:-1]
             continue
         pos, cand = j + 1, part + (e := (fld[j],))
-        if check is not None:  # the new points hold e, first at position i
-            new = (itertools.product(*[part] * i, e, *[cand] * (k - 1 - i)) for i in range(k))
-            if not all(map(check, itertools.chain.from_iterable(new))):
-                continue
+        new = (itertools.product(*[part] * i, e, *[cand] * (k - 1 - i)) for i in range(k))
+        if not all(map(check, itertools.chain.from_iterable(new))):  # they hold e, first at i
+            continue
         charge(owed)
         owed = 0
         if m + 1 == p:
-            yield Cube(cand, k)
+            yield cand
         else:
             chosen.append(j)
             part = cand
@@ -226,5 +224,7 @@ def iter_cubes(
 
 
 def cubes_in(domain: Iterable[KTuple], p: int) -> list[Cube]:
-    """Every cube iter_cubes makes, as a list."""
-    return list(iter_cubes(domain, p))
+    """Every cube iter_cubes makes, as a checked Cube, in a list."""
+    points = domain if isinstance(domain, (dict, Set)) else set(domain)
+    k = len(next(iter(points), ()))
+    return [Cube(elements, k) for elements in iter_cubes(points, p)]

@@ -245,9 +245,9 @@ def find_regressively_regular_witness(
     out, it is members.k and a whole Family is scanned.
     Returns None when the members are exhausted; over a truncated universe
     that outcome carries no meaning beyond the scanned scope.  Element sets
-    tried for cubes (charged before the next extension and at the end) and
-    the p^k points of each cube (charged before it is classified) share one
-    budget, UNIVERSE_MAX_POINTS, and CapacityError is raised when it is passed.
+    tried for cubes (charged as iter_cubes says) and the p^k points of each
+    cube (charged before it is classified) share one budget,
+    UNIVERSE_MAX_POINTS, and CapacityError is raised when it is passed.
     """
     if p < 2:
         raise ValueError("witness search requires cube size p >= 2")
@@ -266,15 +266,16 @@ def find_regressively_regular_witness(
     for functions_examined, f in enumerate(members, 1):
         if f is None:
             continue
-        for cube in iter_cubes(f.entries, p, charge):
+        for elements in iter_cubes(f.entries, p, charge):
             cubes_examined += 1
             charge(p**k)
             per_class = {}
-            for label, verdict in iter_class_verdicts(f, cube):
+            for label, verdict in iter_class_verdicts(f, elements):
                 if verdict["kind"] == VIOLATED:
                     break
                 per_class[label] = verdict
             else:
                 stats = SearchStats(functions_examined, cubes_examined)
-                return WitnessResult(f, cube, {"overall": True, "perClass": per_class}, stats)
+                report = {"overall": True, "perClass": per_class}
+                return WitnessResult(f, Cube(elements, f.k), report, stats)
     return None

@@ -10,6 +10,7 @@ lexicographic point order), so every run reports the same witness.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -240,33 +241,39 @@ def is_full_over(fam: Family, universe: Sequence[Iterable[KTuple]]):
     return None
 
 
-def _cube_power(f: FiniteFunction, cube: Cube) -> tuple[list[KTuple], list[int]]:
-    """The points of the cube power in lexicographic order and f's values
-    on them, for k >= 2, a cube of f's arity and p >= 2.  A point outside
-    f's domain, the first in that order, is refused.  As p >= 2, p^k
-    exceeds the domain size once 2^k does, so a huge k is refused before
-    any k-tuple is built."""
+def _check_cube(f: FiniteFunction, cube: Cube) -> None:
+    """Refuse a function of arity k < 2, a cube of another arity, and a
+    cube of fewer than 2 elements."""
     if f.k < 2:
         raise ValueError("regressive regularity is defined for arity k >= 2")
     if cube.k != f.k:
         raise ValueError(f"cube arity {cube.k} does not match function arity {f.k}")
-    if cube.p < 2:
+    if len(cube.elements) < 2:
         raise ValueError("cube needs at least 2 elements")
+
+
+def _cube_power(f: FiniteFunction, elements: KTuple) -> tuple[list[KTuple], list[int]]:
+    """The points of E^k, for E the p >= 2 elements and k f's arity, in
+    lexicographic order and f's values on them.  A point outside f's
+    domain, the first in that order, is refused.  As p >= 2, p^k exceeds
+    the domain size once 2^k does, so a huge k is refused before any
+    k-tuple is built."""
     refusal = f"cube power not contained in domain of {f.id}"
-    size = len(f.entries)
-    if power_exceeds(cube.p, cube.k, size):
-        raise ValueError(f"{refusal}: {cube.p}^{cube.k} points, domain has {size}")
-    points = list(cube.points())
+    p, k, size = len(elements), f.k, len(f.entries)
+    if power_exceeds(p, k, size):
+        raise ValueError(f"{refusal}: {p}^{k} points, domain has {size}")
+    points = list(itertools.product(elements, repeat=k))
     try:
         return points, list(map(f.entries.__getitem__, points))
     except KeyError as missing:
         raise ValueError(f"{refusal}: missing {missing.args[0]}") from None
 
 
-def iter_class_verdicts(f: FiniteFunction, cube: Cube) -> Iterator[tuple[str, dict]]:
-    """(label, verdict) of each order-type class realized in the cube's
-    power, in lexicographic signature order, each classified as it is asked
-    for, so a consumer may stop at the first violated class.
+def iter_class_verdicts(f: FiniteFunction, elements: KTuple) -> Iterator[tuple[str, dict]]:
+    """(label, verdict) of each order-type class realized in E^k, for E the
+    p >= 2 strictly increasing elements and k f's arity, in lexicographic
+    signature order, each classified as it is asked for, so a consumer may
+    stop at the first violated class.
 
     Each class must either be constant with a value below the cube's
     minimum element (verdict "case1", with that value), or have every
@@ -277,14 +284,14 @@ def iter_class_verdicts(f: FiniteFunction, cube: Cube) -> Iterator[tuple[str, di
     reflexive here.  The classes come from the cube's (p, k) layout, as
     positions into the cube's points and values, each read once.
     """
-    points, values = _cube_power(f, cube)
-    for label, j, positions in order_layout(cube.p, cube.k):
+    points, values = _cube_power(f, elements)
+    for label, j, positions in order_layout(len(elements), f.k):
         head = positions[0]
         first = values[head]
         # min(x) of a point in the class is x[j], where its signature is 0.
         # A constant class below min(E) has its first point below that, too.
         low = next((i for i in positions if values[i] < points[i][j]), None)
-        if first < cube.min_element and all(values[i] == first for i in positions):
+        if first < elements[0] and all(values[i] == first for i in positions):
             yield label, {"kind": CASE1, "value": first}
         elif low is None:
             yield label, {"kind": CASE2}
@@ -303,6 +310,7 @@ def iter_class_verdicts(f: FiniteFunction, cube: Cube) -> Iterator[tuple[str, di
 def regressive_regularity(f: FiniteFunction, cube: Cube) -> dict:
     """Every verdict of iter_class_verdicts(f, cube), as {"overall": no class
     violated, "perClass": {label: verdict}}, classes in signature order."""
-    per_class = dict(iter_class_verdicts(f, cube))
+    _check_cube(f, cube)
+    per_class = dict(iter_class_verdicts(f, cube.elements))
     overall = all(v["kind"] != VIOLATED for v in per_class.values())
     return {"overall": overall, "perClass": per_class}

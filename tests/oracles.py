@@ -46,6 +46,11 @@ def render_json(document):
     return json.dumps(document, indent=2, sort_keys=True)
 
 
+def cube_points(cube):
+    """All p^k points of the cube's power E^k, in lexicographic order."""
+    return itertools.product(cube.elements, repeat=cube.k)
+
+
 def literal_cubes_in(domain, p):
     """Element sets of every p-subset of the domain's coordinates whose
     power lies inside the domain, in lexicographic order."""
@@ -113,7 +118,7 @@ def literal_regressive_regularity(f, cube):
     pair is the first point and the first point valued differently from it.
     """
     classes = {}
-    for x in sorted(itertools.product(cube.elements, repeat=cube.k)):
+    for x in sorted(cube_points(cube)):
         sig = tuple(sorted(set(x)).index(c) for c in x)
         classes.setdefault(sig, []).append((x, f.entries[x]))
     per_class = {}
@@ -235,7 +240,7 @@ def literal_build_fh(f, cube, gammas, semantics):
     semantics each interval's values are deduplicated, encoded, and the
     images united as plain sets.  The second result drops interval 1.
     """
-    points = list(itertools.product(cube.elements, repeat=cube.k))
+    points = list(cube_points(cube))
     if semantics == "multiset":
         full, partial = IntMultiset(), IntMultiset()
         for x in points:

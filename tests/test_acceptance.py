@@ -25,7 +25,7 @@ from jumpfree.predicates import (
     regressive_regularity,
 )
 from jumpfree.subsetsum import solve_subset_sum
-from oracles import is_valid_certificate, literal_order_types, order_equivalent
+from oracles import cube_points, is_valid_certificate, literal_order_types, order_equivalent
 
 # The order-type enumeration lives in the census script, its only user.
 _CENSUS = Path(__file__).resolve().parent.parent / "scripts" / "order_type_census.py"
@@ -133,7 +133,7 @@ def test_criterion_3_regularity_oracle():
             p = rng.choice((2, 3))
             elements = tuple(sorted(rng.sample(range(10), p)))
             cube = Cube(elements=elements, k=2)
-            values = {x: rng.randint(0, 9) for x in cube.points()}
+            values = {x: rng.randint(0, 9) for x in cube_points(cube)}
             f = FiniteFunction(id=f"r{i}", k=2, entries=values)
             report = regressive_regularity(f, cube)
             expected = _classify_brute(values, cube.min_element)

@@ -20,6 +20,7 @@ from jumpfree.core import (
     render_json,
 )
 from oracles import (
+    cube_points,
     literal_cubes_in,
     literal_tried_sets,
     order_equivalent,
@@ -99,7 +100,7 @@ def test_enumerate_order_types_counts(k, count):
     elements=st.sets(st.integers(0, 50), min_size=1, max_size=4).map(sorted),
 )
 def test_order_layout_matches_grouping_by_signature(k, elements):
-    points = list(Cube(tuple(elements), k).points())
+    points = list(cube_points(Cube(tuple(elements), k)))
     grouped = {}
     for x in points:
         grouped.setdefault(order_signature(x), []).append(x)
@@ -133,14 +134,14 @@ def test_enumerate_order_types_are_canonical():
 
 def test_cube_basics():
     cube = Cube(elements=(2, 5), k=2)
-    assert cube.p == 2
+    assert len(cube.elements) == 2
     assert cube.min_element == 2
-    assert list(cube.points()) == [(2, 2), (2, 5), (5, 2), (5, 5)]
+    assert list(cube_points(cube)) == [(2, 2), (2, 5), (5, 2), (5, 5)]
 
 
 def test_cube_points_count_and_order():
     cube = Cube(elements=(0, 1, 3), k=3)
-    pts = list(cube.points())
+    pts = list(cube_points(cube))
     assert len(pts) == 3**3
     assert pts == sorted(pts)
 
@@ -201,11 +202,24 @@ def _multipartite(n, parts):
 def test_iter_cubes_matches_subset_enumeration(k, domain, p):
     # Points are drawn as triples and cut to arity k.
     domain = {tuple(t[:k]) for t in domain}
-    assert [c.elements for c in iter_cubes(domain, p)] == literal_cubes_in(domain, p)
+    assert list(iter_cubes(domain, p)) == literal_cubes_in(domain, p)
 
 
 def _tried_points(sets, k):
     return sum(len(s) ** k - (len(s) - 1) ** k for s in sets)
+
+
+def _assert_cubes_and_charges(domain, k, p):
+    # The cubes are the literal ones, each arrives with every element set
+    # tried up to it charged, and nothing later; at exhaustion every tried
+    # set is charged.
+    tried = literal_tried_sets(domain, p)
+    cubes, charged = [], []
+    for elements in iter_cubes(domain, p, charged.append):
+        assert sum(charged) == _tried_points([s for s in tried if s <= elements], k)
+        cubes.append(elements)
+    assert cubes == literal_cubes_in(domain, p)
+    assert sum(charged) == _tried_points(tried, k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,14 +234,20 @@ def _tried_points(sets, k):
 @example(2, {(a, b, 0) for a, b in _multipartite(14, 6)}, 6)
 @example(2, {(a, b, 0) for a, b in _multipartite(14, 6)}, 7)
 def test_iter_cubes_charges_every_tried_set_before_each_cube(k, domain, p):
-    # Each cube arrives with every element set tried up to it charged, and
-    # nothing later; at exhaustion every tried set is charged.
-    domain = {tuple(t[:k]) for t in domain}
-    tried = literal_tried_sets(domain, p)
-    charged = []
-    for cube in iter_cubes(domain, p, charged.append):
-        assert sum(charged) == _tried_points([s for s in tried if s <= cube.elements], k)
-    assert sum(charged) == _tried_points(tried, k)
+    _assert_cubes_and_charges({tuple(t[:k]) for t in domain}, k, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    field=st.sets(st.integers(0, 12), min_size=1, max_size=7),
+    data=st.data(),
+)
+def test_iter_cubes_on_a_full_power_matches_the_literal_search(k, field, data):
+    # Full powers take the combinations path, which random point sets
+    # almost never reach.
+    p = data.draw(st.integers(1, len(field) + 1), label="p")
+    _assert_cubes_and_charges(set(itertools.product(field, repeat=k)), k, p)
 
 
 def test_first_cube_of_a_large_grid_is_made_alone():
@@ -240,7 +260,7 @@ def test_first_cube_of_a_large_grid_is_made_alone():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first == Cube(tuple(range(11)), 2)
+    assert first == tuple(range(11))
     assert peak < 500_000
 
 
@@ -257,7 +277,7 @@ def test_sparse_wide_field_builds_no_quadratic_masks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first == Cube((0, n - 1), 2)
+    assert first == (0, n - 1)
     assert sum(charged) == 1 + 3 * (n - 1)  # {0}, then {0, j} for every j
     assert peak < 3_000_000
 

@@ -365,7 +365,7 @@ def test_bad_domain_fails_at_its_member_with_the_constructors_message(bad, messa
 
 
 def _member(name, points, rule):
-    return FiniteFunction(id=name, k=2, entries={x: rule(x) for x in points})
+    return FiniteFunction(id=name, k=len(points[0]), entries={x: rule(x) for x in points})
 
 
 # No cube: the points (a, b) with a = b or a, b in different classes mod 3
@@ -381,21 +381,30 @@ _MULTIPARTITE = _member(
 _NO_WITNESS = _member(
     "no-witness", list(itertools.product(range(6), repeat=2)), lambda x: max(min(x) - 1, 0)
 )
+# The same rule on a full power of arity 3: C(5, 3) = 10 cubes, no witness.
+_NO_WITNESS_K3 = _member(
+    "no-witness-k3", list(itertools.product(range(5), repeat=3)), lambda x: max(min(x) - 1, 0)
+)
 
 
 @pytest.mark.parametrize(
     "members, p",
-    [([_MULTIPARTITE], 4), ([_NO_WITNESS], 3), ([_MULTIPARTITE, _NO_WITNESS], 4)],
-    ids=["no-cube", "no-witness", "both"],
+    [
+        ([_MULTIPARTITE], 4),
+        ([_NO_WITNESS], 3),
+        ([_MULTIPARTITE, _NO_WITNESS], 4),
+        ([_NO_WITNESS_K3], 3),
+    ],
+    ids=["no-cube", "no-witness", "both", "no-witness-k3"],
 )
 def test_search_budget_raises_at_one_point_short_of_its_work(monkeypatch, members, p):
-    work = literal_search_work(members, p)
+    work, k = literal_search_work(members, p), members[0].k
     assert work > 0
     monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", work - 1)
     with pytest.raises(CapacityError, match=f"witness search capped at {work - 1} points"):
-        find_regressively_regular_witness(members, p, 2)
+        find_regressively_regular_witness(members, p, k)
     monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", work)
-    assert find_regressively_regular_witness(members, p, 2) is None
+    assert find_regressively_regular_witness(members, p, k) is None
 
 
 def test_search_budget_is_charged_before_the_work(monkeypatch):
