@@ -115,17 +115,18 @@ def order_signature(x: KTuple) -> KTuple:
 
 
 @functools.cache
-def order_layout(p: int, k: int) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+def order_layout(p: int, k: int) -> tuple[tuple[str, int, operator.itemgetter], ...]:
     """Each order signature realized in E^k, in lexicographic order, as its
-    label "(s0,s1,...)", the index of its 0, and the positions of its
-    points in E^k's lexicographic order.  For any increasing E of p
-    elements a point has its index tuple's order type, so this is
-    computed once per (p, k)."""
+    label "(s0,s1,...)", the index of its 0, and an itemgetter that takes E
+    to the coordinates of its points in lexicographic order, laid end to end
+    (for p = k = 1, to the bare element).  For any increasing E of p
+    elements a point has its index tuple's order type, so this is computed
+    once per (p, k)."""
     classes: dict[KTuple, list[int]] = {}
-    for i, t in enumerate(itertools.product(range(p), repeat=k)):
-        classes.setdefault(order_signature(t), []).append(i)
+    for t in itertools.product(range(p), repeat=k):
+        classes.setdefault(order_signature(t), []).extend(t)
     return tuple(
-        ("(" + ",".join(map(str, sig)) + ")", sig.index(0), tuple(classes[sig]))
+        ("(" + ",".join(map(str, sig)) + ")", sig.index(0), operator.itemgetter(*classes[sig]))
         for sig in sorted(classes)
     )
 
@@ -152,10 +153,6 @@ class Cube(JsonRecord):
             raise ValueError(f"cube elements must be strictly increasing, got {self.elements}")
         if not is_nat(self.k) or self.k < 1:
             raise ValueError(f"cube arity must be an integer >= 1, got {self.k!r}")
-
-    @property
-    def min_element(self) -> int:
-        return self.elements[0]
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Cube":

@@ -135,11 +135,14 @@ def _rule_min(dom: Domain) -> dict[KTuple, int]:
 
 
 def _rule_predmin(dom: Domain) -> dict[KTuple, int]:
-    # Minimum coordinate seen among x and all points below x's maximum.  Above
-    # top, the lowest level holding the least coordinate, every point takes it;
+    # Minimum coordinate seen among x and all points below x's maximum.  A
+    # held (least, ..., least) is below every other level, so all take least.
+    # Else above top, the lowest level holding least, every point takes it;
     # the floors below run up the levels from top, which no min(x) there exceeds.
+    least = min(itertools.chain.from_iterable(dom))
+    if (least,) * len(dom[0]) in dom:
+        return dict.fromkeys(dom, least)
     highs, lows = list(map(max, dom)), list(map(min, dom))
-    least = min(lows)
     top = min(itertools.compress(highs, map(least.__eq__, lows)))
     floors, floor = {}, top
     for high, low in sorted(itertools.compress(zip(highs, lows), map(top.__ge__, highs))):

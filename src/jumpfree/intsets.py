@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Cube, json_items
-from .predicates import FiniteFunction, _check_cube, _cube_power
+from .predicates import FiniteFunction, _cube_power
 
 ZIGZAG = "zigzag"
 ZIGZAG_NEG = "zigzagneg"
@@ -176,10 +176,9 @@ def build_fh(
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}, expected one of {SEMANTICS}")
     # Each value lands in [0, min(E)), [min(E), min(x)) or [min(x), oo).
-    _check_cube(f, cube)
-    low = cube.min_element
+    low = cube.elements[0]
     per_interval: list[list[int]] = [[], [], []]
-    for x, v in zip(*_cube_power(f, cube.elements)):
+    for x, v in zip(*_cube_power(f, cube)):
         if v < low:
             per_interval[INTERVAL_LOW].append(v)
         elif v < min(x):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -241,28 +242,24 @@ def is_full_over(fam: Family, universe: Sequence[Iterable[KTuple]]):
     return None
 
 
-def _check_cube(f: FiniteFunction, cube: Cube) -> None:
-    """Refuse a function of arity k < 2, a cube of another arity, and a
-    cube of fewer than 2 elements."""
+def _cube_power(f: FiniteFunction, cube: Cube) -> tuple[list[KTuple], list[int]]:
+    """The points of the cube power E^k in lexicographic order and f's
+    values on them.  Refused, in this order: a function of arity k < 2, a
+    cube of another arity, a cube of fewer than 2 elements, a power larger
+    than f's domain, and a point outside it, the first such in lexicographic
+    order.  As p >= 2, p^k exceeds the domain size once 2^k does, so a huge
+    k is refused before any k-tuple is built."""
     if f.k < 2:
         raise ValueError("regressive regularity is defined for arity k >= 2")
     if cube.k != f.k:
         raise ValueError(f"cube arity {cube.k} does not match function arity {f.k}")
     if len(cube.elements) < 2:
         raise ValueError("cube needs at least 2 elements")
-
-
-def _cube_power(f: FiniteFunction, elements: KTuple) -> tuple[list[KTuple], list[int]]:
-    """The points of E^k, for E the p >= 2 elements and k f's arity, in
-    lexicographic order and f's values on them.  A point outside f's
-    domain, the first in that order, is refused.  As p >= 2, p^k exceeds
-    the domain size once 2^k does, so a huge k is refused before any
-    k-tuple is built."""
     refusal = f"cube power not contained in domain of {f.id}"
-    p, k, size = len(elements), f.k, len(f.entries)
+    p, k, size = len(cube.elements), f.k, len(f.entries)
     if power_exceeds(p, k, size):
         raise ValueError(f"{refusal}: {p}^{k} points, domain has {size}")
-    points = list(itertools.product(elements, repeat=k))
+    points = list(itertools.product(cube.elements, repeat=k))
     try:
         return points, list(map(f.entries.__getitem__, points))
     except KeyError as missing:
@@ -281,36 +278,39 @@ def iter_class_verdicts(f: FiniteFunction, elements: KTuple) -> Iterator[tuple[s
     Otherwise it is "violated": offender is the first point valued below
     its own minimum, and conflictPair the first point and the first valued
     differently, or null when the class is constant.  Values need not be
-    reflexive here.  The classes come from the cube's (p, k) layout, as
-    positions into the cube's points and values, each read once.
+    reflexive here.  A class's points, from the (p, k) layout, and values
+    are read only when it is classified.  E^k must lie in f's domain:
+    iter_cubes yields only such cubes, and regressive_regularity checks.
     """
-    points, values = _cube_power(f, elements)
-    for label, j, positions in order_layout(len(elements), f.k):
-        head = positions[0]
-        first = values[head]
+    for label, j, coordinates in order_layout(len(elements), f.k):
+        coords = coordinates(elements)
+        points = list(zip(*[iter(coords)] * f.k))
+        values = list(map(f.entries.__getitem__, points))
+        first = values[0]
         # min(x) of a point in the class is x[j], where its signature is 0.
         # A constant class below min(E) has its first point below that, too.
-        low = next((i for i in positions if values[i] < points[i][j]), None)
-        if first < elements[0] and all(values[i] == first for i in positions):
+        if first < elements[0] and values.count(first) == len(values):
             yield label, {"kind": CASE1, "value": first}
-        elif low is None:
+        elif all(map(operator.ge, values, coords[j::f.k])):
             yield label, {"kind": CASE2}
         else:
-            odd = next((i for i in positions if values[i] != first), None)
+            low = next(i for i, v in enumerate(values) if v < points[i][j])
+            odd = next((i for i, v in enumerate(values) if v != first), None)
             yield label, {
                 "kind": VIOLATED,
                 "offender": list(points[low]),
                 "offenderValue": values[low],
                 "conflictPair": None if odd is None else [
-                    [list(points[head]), first], [list(points[odd]), values[odd]]
+                    [list(points[0]), first], [list(points[odd]), values[odd]]
                 ],
             }
 
 
 def regressive_regularity(f: FiniteFunction, cube: Cube) -> dict:
     """Every verdict of iter_class_verdicts(f, cube), as {"overall": no class
-    violated, "perClass": {label: verdict}}, classes in signature order."""
-    _check_cube(f, cube)
+    violated, "perClass": {label: verdict}}, classes in signature order,
+    after the refusals of _cube_power."""
+    _cube_power(f, cube)
     per_class = dict(iter_class_verdicts(f, cube.elements))
     overall = all(v["kind"] != VIOLATED for v in per_class.values())
     return {"overall": overall, "perClass": per_class}

@@ -208,6 +208,21 @@ def literal_rule(kind, dom):
     return {x: {"max": max, "min": min}[kind](x) for x in dom}
 
 
+def floor_walk_predmin(dom):
+    """The predmin rule's entries by its floor walk alone, with no one-step
+    valuing of a domain that holds (least, ..., least): points above top,
+    the lowest level holding the least coordinate, take it, and the floors
+    run up the levels to top.  Coordinates may be negative here."""
+    highs, lows = list(map(max, dom)), list(map(min, dom))
+    least = min(lows)
+    top = min(itertools.compress(highs, map(least.__eq__, lows)))
+    floors, floor = {}, top
+    for high, low in sorted(itertools.compress(zip(highs, lows), map(top.__ge__, highs))):
+        floors.setdefault(high, floor)
+        floor = min(floor, low)
+    return {x: least if h > top else min(floors[h], low) for x, h, low in zip(dom, highs, lows)}
+
+
 def literal_gen_family(kind, universe):
     """Copy each domain to tuples, deduplicate and sort it, then apply its rule."""
     members = []

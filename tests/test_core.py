@@ -106,13 +106,16 @@ def test_order_layout_matches_grouping_by_signature(k, elements):
         grouped.setdefault(order_signature(x), []).append(x)
     layout = order_layout(len(elements), k)
     assert layout is order_layout(len(elements), k)
-    classes = [[points[i] for i in positions] for _, _, positions in layout]
+    coords = [coordinates(tuple(elements)) for _, _, coordinates in layout]
+    if k == len(elements) == 1:  # the one coordinate comes bare
+        coords = [(c,) for c in coords]
+    classes = [list(zip(*[iter(cs)] * k)) for cs in coords]
     signatures = [order_signature(xs[0]) for xs in classes]
     assert list(zip(signatures, classes)) == sorted(grouped.items())
     for (label, zero, _), sig in zip(layout, signatures):
         assert label == "(" + ",".join(map(str, sig)) + ")"
         assert zero == sig.index(0)
-    assert sorted(i for _, _, positions in layout for i in positions) == list(range(len(points)))
+    assert sorted(x for xs in classes for x in xs) == points
     firsts = [xs[0] for xs in classes]
     for xs in classes:
         assert all(order_equivalent(x, xs[0]) for x in xs)
@@ -135,7 +138,7 @@ def test_enumerate_order_types_are_canonical():
 def test_cube_basics():
     cube = Cube(elements=(2, 5), k=2)
     assert len(cube.elements) == 2
-    assert cube.min_element == 2
+    assert cube.elements[0] == 2
     assert list(cube_points(cube)) == [(2, 2), (2, 5), (5, 2), (5, 5)]
 
 

@@ -28,6 +28,7 @@ from jumpfree.predicates import (
     regressive_regularity,
 )
 from oracles import (
+    floor_walk_predmin,
     is_reflexive,
     literal_gen_family,
     literal_rule,
@@ -226,7 +227,7 @@ def test_find_witness_predmin_full_grid():
     fam = gen_family("predmin", universe)
     result = find_regressively_regular_witness(fam, 2)
     assert result is not None
-    assert result.cube.min_element > 0
+    assert result.cube.elements[0] > 0
     result3 = find_regressively_regular_witness(fam, 3)
     assert result3 is not None
     assert result3.cube.elements == (1, 2, 3)
@@ -330,10 +331,38 @@ def test_gen_family_over_hand_made_domains_matches_normalising_oracle(kind, univ
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(FAMILY_KINDS), universe=st.integers(1, 3).flatmap(_hand_made_universes))
 @example("predmin", [((3, 3), (0, 4), (1, 1), (4, 0), (3, 3), (2, 2))])
+@example("predmin", [tuple(itertools.product((1, 3, 4), repeat=2))])
+@example("predmin", [((3, 4), (1, 3), (4, 1), (3, 4), (2, 2), (1, 1))])
 def test_rules_give_the_literal_entries_in_domain_order(kind, universe):
     for dom in universe:
         got = gen_family(kind, [dom]).members[0].entries
         assert list(got.items()) == list(literal_rule(kind, dom).items())
+
+
+def _signed_domains(k):
+    # Points in any order, repeats allowed; full powers hold (least, ..., least).
+    coords = st.integers(-3, 4)
+    listed = st.lists(st.tuples(*[coords] * k), min_size=1, max_size=8)
+    powers = st.sets(coords, min_size=1, max_size=3).map(
+        lambda fld: list(itertools.product(sorted(fld), repeat=k))
+    )
+    return (listed | powers.flatmap(st.permutations)).map(tuple)
+
+
+def _outcome(make):
+    try:
+        return list(make().entries.items())
+    except ValueError as refusal:
+        return type(refusal), str(refusal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(_signed_domains))
+@example(((-1, -1), (2, 0), (-1, 3), (-1, -1)))
+@example(((0, 0), (3, 1), (1, 0)))
+def test_predmin_gives_the_floor_walk_entries_or_the_same_refusal(dom):
+    want = _outcome(lambda: FiniteFunction("predmin-000", len(dom[0]), floor_walk_predmin(dom)))
+    assert _outcome(lambda: gen_family("predmin", [dom]).members[0]) == want
 
 
 _GOOD = ((0, 0), (1, 1), (0, 1))

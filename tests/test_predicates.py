@@ -17,6 +17,7 @@ from jumpfree.predicates import (
     JumpFreeWitness,
     is_full_over,
     is_jump_free_family,
+    iter_class_verdicts,
     jump_free_violation,
     regressive_regularity,
 )
@@ -351,6 +352,32 @@ def test_regressive_regularity_report_matches_literal_oracle(case):
     want = literal_regressive_regularity(f, cube)
     assert got == want
     assert list(got["perClass"]) == list(want["perClass"])
+
+
+@st.composite
+def _cube_functions_in_wider_domains(draw):
+    # f holds E^k and up to 6 more points, valued at random.
+    f, cube = draw(_cube_functions())
+    points = st.tuples(*[st.integers(0, 12)] * f.k)
+    extra = draw(st.dictionaries(points, st.integers(0, 12), max_size=6))
+    return ff("f", {**extra, **f.entries}, k=f.k), cube
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cube_functions_in_wider_domains())
+@example((ff("f", {(0, 7): 1, (2, 2): 2, (2, 5): 2, (5, 2): 2, (5, 5): 3}), Cube((2, 5), 2)))
+@example((ff("f", {x: 1 for x in itertools.product((3, 4), repeat=3)}, k=3), Cube((3, 4), 3)))
+def test_class_verdicts_up_to_the_first_violated_match_the_literal_oracle(case):
+    f, cube = case
+    want = list(literal_regressive_regularity(f, cube)["perClass"].items())
+    got = []
+    for label, verdict in iter_class_verdicts(f, cube.elements):
+        got.append((label, verdict))
+        assert got == want[: len(got)]
+        if verdict["kind"] == VIOLATED:
+            break
+    else:
+        assert got == want
 
 
 def test_report_json_shape():
