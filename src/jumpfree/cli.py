@@ -104,13 +104,14 @@ def _reading(path: str, expected: str) -> Iterator:
 
 def _load_members(
     cfg: RunConfig, universe: Optional[list[Domain]] = None, p: Optional[int] = None
-) -> tuple[Iterable[Optional[FiniteFunction]], int, Optional[dict]]:
+) -> tuple[Iterable[FiniteFunction | int], int, Optional[dict]]:
     """Members from --input, a family document bare or wrapped under
     report.family, else generated from the universe flags, with their
     arity k and the universe spec's JSON (None for --input).  Generated
     members come as a stream, over universe when the caller has built it,
     so a search stops generation at its witness; given a cube side p, each
-    domain too small for a p-cube comes as None (see iter_universe)."""
+    run of n domains too small for a p-cube comes as the int n (see
+    iter_universe)."""
     if cfg.input is None:
         spec = cfg.universe_spec()
         domains = iter_universe(spec, p) if universe is None else universe
@@ -340,19 +341,42 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parse_args keeps no state."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser by name, built
+    once per process; parse_args keeps no state."""
     parser = _Parser(
         prog="jumpfree",
         description="Generate, check, search, and run the full solvability experiment.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    commands = {}
     for name, command in COMMANDS.items():
-        cmd = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        cmd = commands[name] = sub.add_parser(
+            name, help=command.help, argument_default=argparse.SUPPRESS
+        )
         for flag, settings in _FLAGS.items():
             if flag == "format" or flag in command.flags:
                 cmd.add_argument("--" + flag.replace("_", "-"), **settings)
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, the same object on every call."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> dict:
+    """RunConfig's keyword arguments for argv, as build_parser().parse_args
+    gives them.  After a command name, that parser only hands the rest to
+    the command's subparser and refuses what is left over, so both are
+    done here directly; any other argv goes through the top-level parser."""
+    parser, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return vars(parser.parse_args(argv))
+    flags, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return {"command": argv[0], **vars(flags)}
 
 
 def _to_csv(report: dict) -> str:
@@ -391,7 +415,7 @@ def run(cfg: RunConfig) -> tuple[str, int]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
+    cfg = RunConfig(**_parse_args(sys.argv[1:] if argv is None else argv))
     try:
         text, status = run(cfg)
     except CapacityError as exc:

@@ -87,7 +87,7 @@ def _points_bound(spec: UniverseSpec, cap: int) -> int:
     return bound
 
 
-def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Optional[Domain]]:
+def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Domain | int]:
     """The universe described by a spec, one domain at a time.
 
     Cube domains come ordered by element-set size then lexicographic
@@ -95,10 +95,11 @@ def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Optio
     the consumer asks for it.  Duplicates are dropped, keeping first
     occurrence: a draw of a cube power's size repeats a cube domain exactly
     when it is the full power of its own elements.  Given a cube side p >= 2,
-    each domain of fewer than p^k points (no room for a p-cube) comes as
-    None: a cube domain is then never built, and a random one is still
-    drawn, so later draws do not change.  Raises CapacityError before
-    yielding anything when the spec may need over UNIVERSE_MAX_POINTS points.
+    domains of fewer than p^k points (no room for a p-cube) are not built,
+    and the int n stands for n of them: a cube size class is one int,
+    C(grid_bound, size), and a random domain, still drawn so that later
+    draws do not change, is 1.  Raises CapacityError before yielding
+    anything when the spec may need over UNIVERSE_MAX_POINTS points.
     """
     if _points_bound(spec, UNIVERSE_MAX_POINTS) > UNIVERSE_MAX_POINTS:
         raise CapacityError(f"universe capped at {UNIVERSE_MAX_POINTS} points")
@@ -106,9 +107,11 @@ def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Optio
     small = (lambda size: False) if p is None else functools.partial(power_exceeds, p, k)
     for size, power in _cube_sizes(spec):
         powers.add(power)
-        built = not small(power)
+        if small(power):
+            yield math.comb(spec.grid_bound, size)
+            continue
         for elems in itertools.combinations(range(spec.grid_bound), size):
-            yield tuple(itertools.product(elems, repeat=k)) if built else None
+            yield tuple(itertools.product(elems, repeat=k))
 
     if spec.sample_count:  # draws index the grid in product's lexicographic order
         grid = list(itertools.product(range(spec.grid_bound), repeat=k))
@@ -118,7 +121,7 @@ def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Optio
             dom = tuple(sorted(rng.sample(grid, size)))
             if not (size in powers and len(set().union(*dom)) ** k == size) and dom not in seen:
                 seen.add(dom)
-                yield None if small(size) else dom
+                yield 1 if small(size) else dom
 
 
 def build_universe(spec: UniverseSpec) -> list[Domain]:
@@ -166,32 +169,33 @@ _RULES = {
 FAMILY_KINDS = tuple(_RULES)
 
 
-def iter_family(
-    kind: str, universe: Iterable[Optional[Domain]]
-) -> Iterator[Optional[FiniteFunction]]:
+def iter_family(kind: str, universe: Iterable[Domain | int]) -> Iterator[FiniteFunction | int]:
     """One member per universe domain, valued by the named rule, made as
     the domains arrive, so a consumer that stops early stops generation.
 
     All four rules are reflexive by construction.  max, min, and predmin
     yield jump-free families; constmin does not, by design, so checkers
     have a guaranteed negative fixture.  Member i has id "{kind}-{i:03d}",
-    and every member takes the arity of the first domain built.  A None in
-    the universe, a domain iter_universe left unbuilt as too small for a
-    p-cube, yields None in its member's place.
+    and every member takes the arity of the first domain built.  An int n
+    in the universe, a run of n domains iter_universe left unbuilt as too
+    small for a p-cube, is passed on as n in their members' place, and the
+    next member's id is n further on.
     """
     if kind not in _RULES:
         raise ValueError(f"unknown family kind {kind!r}, expected one of {FAMILY_KINDS}")
     rule = _RULES[kind]
-    i = k = None
-    for i, dom in enumerate(universe):
-        if dom is None:
-            yield None
-        elif not dom:
+    i, k = 0, None
+    for dom in universe:
+        if isinstance(dom, int):
+            yield dom
+            i += dom
+            continue
+        if not dom:
             raise ValueError("universe domains must be nonempty")
-        else:
-            k = k or len(dom[0])
-            yield FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=rule(dom))
-    if i is None:
+        k = k or len(dom[0])
+        yield FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=rule(dom))
+        i += 1
+    if not i:
         raise ValueError("cannot generate a family over an empty universe")
 
 
@@ -235,7 +239,7 @@ class WitnessResult:
 
 
 def find_regressively_regular_witness(
-    members: Iterable[Optional[FiniteFunction]] | Family, p: int, k: Optional[int] = None
+    members: Iterable[FiniteFunction | int] | Family, p: int, k: Optional[int] = None
 ) -> Optional[WitnessResult]:
     """First (member, cube) pair that classifies as regressively regular.
 
@@ -243,9 +247,10 @@ def find_regressively_regular_witness(
     lexicographic order, with no heuristics, so repeated runs return the
     identical witness.  members may be a stream such as iter_family's: it
     is pulled one member at a time and left at the witness, so a generated
-    family is built only up to its first witness; a None in it, a member
-    left unbuilt, is counted as examined.  k is the members' arity; left
-    out, it is members.k and a whole Family is scanned.
+    family is built only up to its first witness; an int n in it, a run of
+    n members left unbuilt, counts n members examined and charges no work.
+    k is the members' arity; left out, it is members.k and a whole Family
+    is scanned.
     Returns None when the members are exhausted; over a truncated universe
     that outcome carries no meaning beyond the scanned scope.  Element sets
     tried for cubes (charged as iter_cubes says) and the p^k points of each
@@ -258,7 +263,7 @@ def find_regressively_regular_witness(
         members, k = members.members, members.k
     if k < 2:
         raise ValueError("witness search requires arity k >= 2")
-    cubes_examined = work = 0
+    functions_examined = cubes_examined = work = 0
 
     def charge(points: int) -> None:
         nonlocal work
@@ -266,9 +271,11 @@ def find_regressively_regular_witness(
         if work > UNIVERSE_MAX_POINTS:
             raise CapacityError(f"witness search capped at {UNIVERSE_MAX_POINTS} points of work")
 
-    for functions_examined, f in enumerate(members, 1):
-        if f is None:
+    for f in members:
+        if isinstance(f, int):
+            functions_examined += f
             continue
+        functions_examined += 1
         for elements in iter_cubes(f.entries, p, charge):
             cubes_examined += 1
             charge(p**k)

@@ -122,7 +122,7 @@ def _solve_dp(ms: IntMultiset) -> Optional[SubsetCertificate]:
 
 
 def run_corollary_experiment(
-    members: Iterable[Optional[FiniteFunction]] | Family,
+    members: Iterable[FiniteFunction | int] | Family,
     p: int,
     gammas: GammaTriple = DEFAULT_GAMMAS,
     method: str = "dp",
@@ -132,10 +132,11 @@ def run_corollary_experiment(
 
     Finds the first regressively regular (member, cube) pair, pulling
     members only up to it (see find_regressively_regular_witness for
-    members and k), builds the witness member's paired multisets under
-    multiset semantics, solves both for target zero, and reports, as JSON,
-    whether the decisions agree, along with the p^k cardinality check and
-    wall-clock solve timings, which are informational only.  outcome is
+    members, ints among them, and k), builds the witness member's paired
+    multisets under multiset semantics, solves both for target zero, and
+    reports, as JSON, whether the decisions agree, along with the p^k
+    cardinality check and wall-clock solve timings, which are
+    informational only.  outcome is
     "no_witness", a defined result and not an error, when no member is
     regressively regular; every other field is then null and timings_ms
     empty.

@@ -292,13 +292,20 @@ def test_bad_flag_value_exits_1():
         ["gen", "--p", "3"],
         ["check-jumpfree", "--gamma", "zigzag,zigzag,zigzag"],
         ["search", "--semantics", "set"],
+        ["experiment", "--grid", "4", "extra"],
     ],
 )
 def test_flag_the_command_does_not_read_exits_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_ERROR
-    assert "unrecognized arguments" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    # The refusal is the top-level parser's, as argparse makes it.
+    assert captured.out == ""
+    assert captured.err.startswith("usage: jumpfree [-h]")
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("jumpfree: error: unrecognized arguments: ")
+    assert last.endswith(argv[-1])
 
 
 def test_solve_config_echoes_every_default(capsys, tmp_path):
@@ -348,6 +355,84 @@ def test_help_lists_exactly_the_command_flags(capsys, command, flags):
     listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
     assert listed == flags | {"--format", "--help"}
     assert build_parser() is build_parser()
+
+
+def _parse_outcome(parse, argv):
+    """Exit code (None when parsing returns), stdout, stderr and result of
+    parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result, code = parse(argv), None
+        except SystemExit as exc:
+            result, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), result
+
+
+def _config_main_runs(argv):
+    """The RunConfig main builds from argv, with the command not run."""
+    configs = []
+
+    def record(cfg):
+        configs.append(cfg)
+        return "", EXIT_OK
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jumpfree.cli, "run", record)
+        main(argv)
+    return configs[0]
+
+
+def _config_top_level_parses(argv):
+    return jumpfree.cli.RunConfig(**vars(build_parser().parse_args(argv)))
+
+
+_ALL_FLAGS = sorted(_FAMILY_FLAGS | {"--p", "--gamma", "--semantics", "--method", "--format"})
+_ARG_TOKENS = st.sampled_from(
+    _ALL_FLAGS
+    + ["-h", "--help", "--he", "--gri", "--s", "--max", "--no", "--fam", "--bogus", "-x", "--"]
+    + ["3", "0", "-3", "abc", "1.5", "max", "constmin", "dp", "csv", "set", "zigzag", "extra"]
+)
+_EQUALS_TOKENS = st.tuples(
+    st.sampled_from(_ALL_FLAGS + ["--gri", "--bogus"]), st.sampled_from(["3", "abc", "max", ""])
+).map("=".join)
+_COMMAND_NAMES = list(jumpfree.cli.COMMANDS)
+# A command name first, or none, or an unknown one; then anything.
+_ARGVS = st.tuples(
+    st.sampled_from([[]] + [[name] for name in _COMMAND_NAMES] + [["bogus"]]),
+    st.lists(_ARG_TOKENS | _EQUALS_TOKENS | st.sampled_from(_COMMAND_NAMES), max_size=6),
+).map(lambda parts: parts[0] + parts[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ARGVS)
+@example(["experiment", "--grid", "4", "extra"])
+@example(["gen", "--he"])
+@example(["-h"])
+@example(["-h", "gen"])
+@example(["--", "gen"])
+@example(["gen", "--", "--k", "3"])
+@example(["search", "--grid=5", "--no-cubes", "--p", "3"])
+@example([])
+def test_main_parses_as_the_top_level_parser(argv):
+    assert _parse_outcome(_config_main_runs, argv) == _parse_outcome(
+        _config_top_level_parses, argv
+    )
+
+
+@pytest.mark.parametrize("argv", [["search", "--grid", "3", "--samples", "0"], ["--help"]])
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, argv):
+    outcomes = []
+    for given_argv in (argv, None):
+        monkeypatch.setattr(sys, "argv", ["jumpfree"] + (argv if given_argv is None else ["bogus"]))
+        try:
+            status = main(given_argv)
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((status, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == EXIT_OK and outcomes[0][1]
 
 
 def test_theorem_commands_reject_k1(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Universe generation, rule families, and the regularity witness search."""
 
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -282,6 +283,12 @@ def test_streamed_search_matches_search_over_whole_family(
     assert find_regressively_regular_witness(stream, p, k) == whole
 
 
+def _expand_runs(stream):
+    """The stream with each int n, a run of n unbuilt domains or members,
+    spelled out as n Nones."""
+    return [x for item in stream for x in ([None] * item if isinstance(item, int) else [item])]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     kind=st.sampled_from(FAMILY_KINDS),
@@ -301,15 +308,25 @@ def test_search_over_size_filtered_stream_matches_search_over_whole_family(
     kind, k, grid_bound, max_domain_size, sample_count, seed, include_all_cubes, p
 ):
     s = UniverseSpec(k, grid_bound, max_domain_size, sample_count, seed, include_all_cubes)
-    domains = list(iter_universe(s, p))
+    runs = list(iter_universe(s, p))
+    domains = _expand_runs(runs)
     assert domains == [None if power_exceeds(p, k, len(d)) else d for d in literal_universe(s)]
-    filtered = list(iter_family(kind, iter(domains)))
+    # Each cube size class too small for a p-cube is one int, its C(grid, size)
+    # element sets, ahead of the classes that are built; a small draw is 1.
+    small_classes = [
+        math.comb(grid_bound, size)
+        for size in range(2, grid_bound + 1)
+        if include_all_cubes and size**k <= max_domain_size and size < p
+    ]
+    assert runs[: len(small_classes)] == small_classes
+    assert all(run == 1 for run in runs[len(small_classes) :] if isinstance(run, int))
+    filtered = _expand_runs(iter_family(kind, iter(runs)))
     members = gen_family(kind, build_universe(s)).members
     assert filtered == [None if d is None else f for d, f in zip(domains, members)]
     if k < 2:
         return
     whole = find_regressively_regular_witness(members, p, k)
-    assert find_regressively_regular_witness(iter(filtered), p, k) == whole
+    assert find_regressively_regular_witness(iter_family(kind, iter(runs)), p, k) == whole
 
 
 def _hand_made_universes(k):
