@@ -26,9 +26,9 @@ from .families import (
     FAMILY_KINDS,
     Domain,
     UniverseSpec,
+    _iter_members,
     build_universe,
     find_regressively_regular_witness,
-    iter_family,
     iter_universe,
 )
 from .intsets import (
@@ -111,11 +111,13 @@ def _load_members(
     members come as a stream, over universe when the caller has built it,
     so a search stops generation at its witness; given a cube side p, each
     run of n domains too small for a p-cube comes as the int n (see
-    iter_universe)."""
+    iter_universe).  They are built unchecked, since iter_universe, or
+    build_universe for universe, made their points from the spec's grid."""
     if cfg.input is None:
         spec = cfg.universe_spec()
         domains = iter_universe(spec, p) if universe is None else universe
-        return iter_family(cfg.family, domains), spec.k, spec.to_json_dict()
+        members = _iter_members(cfg.family, domains, FiniteFunction._trusted)
+        return members, spec.k, spec.to_json_dict()
     with _reading(cfg.input, "not a family document") as data:
         if "members" not in data:
             data = data["report"]["family"]
@@ -369,8 +371,11 @@ def _parse_args(argv: list[str]) -> dict:
     """RunConfig's keyword arguments for argv, as build_parser().parse_args
     gives them.  After a command name, that parser only hands the rest to
     the command's subparser and refuses what is left over, so both are
-    done here directly; any other argv goes through the top-level parser."""
+    done here directly; any other argv but "--" and more goes to the top-level parser."""
     parser, commands = _parsers()
+    if argv[:1] == ["--"] and argv[1:]:  # refused as argparse 3.10-3.13.0 do; later ones drop it
+        choices = ", ".join(map(repr, commands))
+        parser.error(f"argument command: invalid choice: '--' (choose from {choices})")
     if not argv or argv[0] not in commands:
         return vars(parser.parse_args(argv))
     flags, extras = commands[argv[0]].parse_known_args(argv[1:])

@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import CapacityError, Cube, JsonRecord, KTuple, iter_cubes, power_exceeds
 from .predicates import VIOLATED, Family, FiniteFunction, iter_class_verdicts
@@ -155,8 +155,7 @@ def _rule_predmin(dom: Domain) -> dict[KTuple, int]:
 
 
 def _rule_constmin(dom: Domain) -> dict[KTuple, int]:
-    low = min(map(min, dom))
-    return {x: low for x in dom}
+    return dict.fromkeys(dom, min(map(min, dom)))
 
 
 # Each rule maps a domain to its entries, whatever the order of its points.
@@ -179,8 +178,14 @@ def iter_family(kind: str, universe: Iterable[Domain | int]) -> Iterator[FiniteF
     and every member takes the arity of the first domain built.  An int n
     in the universe, a run of n domains iter_universe left unbuilt as too
     small for a p-cube, is passed on as n in their members' place, and the
-    next member's id is n further on.
+    next member's id is n further on.  Every member is checked as
+    FiniteFunction checks it.
     """
+    return _iter_members(kind, universe, FiniteFunction)
+
+
+def _iter_members(kind: str, universe: Iterable[Domain | int], make: Callable) -> Iterator:
+    """iter_family, with each member built by make(id, k, entries)."""
     if kind not in _RULES:
         raise ValueError(f"unknown family kind {kind!r}, expected one of {FAMILY_KINDS}")
     rule = _RULES[kind]
@@ -193,7 +198,7 @@ def iter_family(kind: str, universe: Iterable[Domain | int]) -> Iterator[FiniteF
         if not dom:
             raise ValueError("universe domains must be nonempty")
         k = k or len(dom[0])
-        yield FiniteFunction(id=f"{kind}-{i:03d}", k=k, entries=rule(dom))
+        yield make(f"{kind}-{i:03d}", k, rule(dom))
         i += 1
     if not i:
         raise ValueError("cannot generate a family over an empty universe")

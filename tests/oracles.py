@@ -9,7 +9,7 @@ import json
 import random
 from collections import Counter
 
-from jumpfree.core import order_signature
+from jumpfree.core import is_nat, json_items, order_signature
 from jumpfree.intsets import IntMultiset
 from jumpfree.predicates import Family, FiniteFunction, JumpFreeWitness
 from jumpfree.subsetsum import SubsetCertificate
@@ -168,6 +168,39 @@ def is_valid_function(k, entries):
         and v >= 0
         for t, v in entries.items()
     )
+
+
+def literal_load_function(data):
+    """A function document read in two passes, as FiniteFunction.from_json_dict
+    read it while it built the function through the constructor: the
+    entries into a dict, then the constructor's copy of that dict and its
+    checks, word for word.  Its refusals, with their exception types,
+    messages and order, are the loader's."""
+    if type(data["id"]) is not str:
+        raise ValueError(f"function id must be a string, got {data['id']!r}")
+    try:
+        entries = {json_items(t): v for t, v in json_items(data["entries"])}
+    except ValueError:  # an entry that does not unpack into [point, value]
+        raise TypeError("entries must be [point, value] pairs") from None
+    if len(entries) < len(data["entries"]):
+        raise ValueError(f"{data['id']}: a domain point is listed more than once")
+    fid, k = data["id"], data["k"]
+    if not is_nat(k) or k < 1:
+        raise ValueError(f"{fid}: arity k must be an integer >= 1, got {k!r}")
+    entries = dict(entries)
+    for t, v in entries.items():
+        if type(t) is not tuple:
+            raise ValueError(f"{fid}: domain point {t!r} must be a tuple")
+        if not t:
+            raise ValueError("a point needs arity k >= 1")
+        for c in t:
+            if type(c) is not int or c < 0:
+                raise ValueError(f"coordinates must be nonnegative integers, got {c!r}")
+        if len(t) != k:
+            raise ValueError(f"{fid}: domain point {t} has arity {len(t)}, expected {k}")
+        if type(v) is not int or v < 0:
+            raise ValueError(f"{fid}: value at {t} must be a nonnegative integer, got {v!r}")
+    return FiniteFunction(id=fid, k=k, entries=entries)
 
 
 def predecessor_set(domain, x):

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import jumpfree.cli
 from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, build_parser, main
-from jumpfree.families import build_universe
-from oracles import render_json as stdlib_render
+from jumpfree.families import FAMILY_KINDS, build_universe, iter_family, iter_universe
+from jumpfree.predicates import FiniteFunction
+from oracles import literal_load_function, render_json as stdlib_render
 
 
 def run_cli(capsys, *argv):
@@ -404,6 +405,13 @@ _ARGVS = st.tuples(
 ).map(lambda parts: parts[0] + parts[1])
 
 
+# The one refusal of a leading "--" before more argv, on every Python release.
+_DASHES = (
+    "jumpfree: error: argument command: invalid choice: '--' (choose from 'gen', "
+    "'check-jumpfree', 'check-full', 'check-rr', 'search', 'sets', 'solve', 'experiment')"
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_ARGVS)
 @example(["experiment", "--grid", "4", "extra"])
@@ -411,13 +419,37 @@ _ARGVS = st.tuples(
 @example(["-h"])
 @example(["-h", "gen"])
 @example(["--", "gen"])
+@example(["--"])
 @example(["gen", "--", "--k", "3"])
 @example(["search", "--grid=5", "--no-cubes", "--p", "3"])
 @example([])
 def test_main_parses_as_the_top_level_parser(argv):
-    assert _parse_outcome(_config_main_runs, argv) == _parse_outcome(
-        _config_top_level_parses, argv
-    )
+    # A leading "--" before more is refused by main itself (see the test
+    # below): newer argparse releases drop it and parse the rest.
+    main_outcome = _parse_outcome(_config_main_runs, argv)
+    if argv[:1] == ["--"] and argv[1:]:
+        code, out, err, result = main_outcome
+        assert (code, out, err.splitlines()[-1], result) == (EXIT_ERROR, "", _DASHES, None)
+    else:
+        assert main_outcome == _parse_outcome(_config_top_level_parses, argv)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--", "search", "--grid", "3", "--samples", "0"], ["--", "--help"], ["--", "--"]]
+)
+def test_leading_double_dash_is_refused_with_the_top_level_usage(capsys, monkeypatch, argv):
+    # The same refusal on every Python release: argparse 3.10 to 3.13.0
+    # refuses a leading "--" as an invalid command, later releases drop it,
+    # so main refuses it before argparse reads argv.  A lone "--" still gets
+    # the top-level parser's "required: command".
+    monkeypatch.setattr(jumpfree.cli._Parser, "parse_args", lambda *a: pytest.fail("parsed"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("usage: jumpfree [-h]")
+    assert captured.err.splitlines()[-1] == _DASHES
 
 
 @pytest.mark.parametrize("argv", [["search", "--grid", "3", "--samples", "0"], ["--help"]])
@@ -438,7 +470,7 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, argv):
 def test_theorem_commands_reject_k1(capsys, monkeypatch):
     # The witness search refuses k < 2 and p < 2 before it pulls a member.
     built = []
-    monkeypatch.setattr(jumpfree.families, "FiniteFunction", lambda *a, **kw: built.append(a))
+    monkeypatch.setattr(FiniteFunction, "_trusted", lambda *a: built.append(a))
     for command in ("search", "experiment"):
         for flag, message in (("--k", "arity k >= 2"), ("--p", "cube size p >= 2")):
             assert main([command, flag, "1"]) == EXIT_ERROR
@@ -561,18 +593,19 @@ def test_universe_without_samples_counts_no_grid_points(capsys):
 
 
 def test_experiment_generates_members_only_up_to_the_witness(capsys, monkeypatch):
+    # Generated members are built at one point, FiniteFunction._trusted.
     members, draws = [], []
-    real_function, real_sample = jumpfree.families.FiniteFunction, random.Random.sample
+    real_trusted, real_sample = FiniteFunction._trusted, random.Random.sample
 
-    def counting_function(*args, **kwargs):
-        members.append(real_function(*args, **kwargs))
+    def counting_trusted(*args):
+        members.append(real_trusted(*args))
         return members[-1]
 
     def counting_sample(self, *args, **kwargs):
         draws.append(args)
         return real_sample(self, *args, **kwargs)
 
-    monkeypatch.setattr(jumpfree.families, "FiniteFunction", counting_function)
+    monkeypatch.setattr(FiniteFunction, "_trusted", counting_trusted)
     monkeypatch.setattr(random.Random, "sample", counting_sample)
     argv = ["experiment", "--family", "max", "--p", "3", "--grid", "8", "--max-domain", "64"]
     status, doc = run_json(capsys, *argv, "--samples", "300")
@@ -582,6 +615,40 @@ def test_experiment_generates_members_only_up_to_the_witness(capsys, monkeypatch
     # The 28 members before it have fewer than 3^2 points and stay unbuilt.
     assert len(members) == 1
     assert draws == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(FAMILY_KINDS),
+    k=st.integers(1, 3),
+    grid_bound=st.integers(2, 5),
+    max_domain_size=st.integers(1, 64),
+    sample_count=st.sampled_from([0, 0, 1, 5, 30]),
+    seed=st.integers(0, 10**6),
+    include_all_cubes=st.booleans(),
+    p=st.sampled_from([None, None, 2, 3]),
+    built=st.booleans(),
+)
+def test_generated_members_pass_the_checks_they_skip(built, p, **universe_flags):
+    # The commands build generated members unchecked: every one must equal
+    # the member the checking constructor builds from the same fields, and
+    # the one iter_family builds, with its checks, from the same domain.
+    cfg = jumpfree.cli.RunConfig("gen", **universe_flags)
+    spec = cfg.universe_spec()
+    universe = build_universe(spec) if built and p is None else None
+    members, k, _ = jumpfree.cli._load_members(cfg, universe, p)
+    checked = iter_family(cfg.family, iter_universe(spec, p))
+    try:
+        pairs = list(zip(members, checked, strict=True))
+    except ValueError as refusal:
+        assert str(refusal) == "cannot generate a family over an empty universe"
+        return
+    for m, want in pairs:
+        if not isinstance(m, int):
+            assert type(m) is FiniteFunction and m.k == k
+            assert m == FiniteFunction(m.id, m.k, m.entries) == want
+        else:
+            assert m == want
 
 
 @pytest.mark.parametrize("command", ["search", "experiment"])
@@ -670,6 +737,27 @@ def test_malformed_family_document_exits_1(capsys, tmp_path, doc):
     assert captured.out == ""
     assert captured.err.startswith("jumpfree: error:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[[0, 0], -1], [[0, 1], 0], [[0, 1], 1]], [[[0, 0], -1], [[0, 1], 0], [[0, 1]]]],
+    ids=["bad-value-then-duplicate", "bad-value-then-short-entry"],
+)
+def test_loaded_member_is_refused_as_the_literal_loader_refuses_it(capsys, tmp_path, entries):
+    # The later fault wins: a point listed twice, or a wrong structure.
+    member = _member(entries)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"k": 2, "members": [member]}))
+    with pytest.raises((TypeError, ValueError)) as refusal:
+        literal_load_function(member)
+    if refusal.type is TypeError:
+        want = f"jumpfree: error: {path}: not a family document\n"
+    else:
+        want = f"jumpfree: error: {refusal.value}\n"
+    assert main(["check-jumpfree", "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", want)
 
 
 _CUBE_FUNCTION = {"id": "f", "k": 2, "entries": [[[2, 2], 2], [[2, 5], 5], [[5, 2], 5], [[5, 5], 5]]}

@@ -25,6 +25,7 @@ from oracles import (
     cube_points,
     is_reflexive,
     is_valid_function,
+    literal_load_function,
     literal_regressive_regularity,
     predecessor_set,
     render_json as stdlib_render,
@@ -117,6 +118,74 @@ def test_finite_function_json_round_trip():
     data = f.to_json_dict()
     assert data == {"id": "f0", "k": 2, "entries": [[[0, 0], 0], [[1, 2], 1]]}
     assert FiniteFunction.from_json_dict(data) == f
+
+
+def _sometimes(valid, bad, one_in):
+    """valid, except one time in one_in one of the bad leaves."""
+    return st.integers(1, one_in).flatmap(lambda i: st.sampled_from(bad) if i == 1 else valid)
+
+
+@st.composite
+def _function_docs(draw):
+    # Coordinates from 0..2, so points repeat often.
+    k = draw(st.integers(1, 3))
+    coordinate = _sometimes(st.integers(0, 2), [-1, True, False, 1.0, 1.5, "1", None, [1]], 8)
+    point = _sometimes(
+        st.lists(coordinate, min_size=k, max_size=k),
+        [[], [0] * (k + 1), [0] * (k - 1), "ab", 5, None, {"a": 1}, ()],
+        8,
+    )
+    value = _sometimes(st.integers(0, 3), [-1, True, 2.0, "1", None], 8)
+    entry = _sometimes(
+        st.tuples(point, value).map(list),
+        [[[0] * k], [[0] * k, 0, 0], "ab", "a", 5, None, {"a": 1, "b": 2}],
+        12,
+    )
+    doc = {
+        "id": draw(_sometimes(st.sampled_from("fg"), [1, None, ["f"]], 12)),
+        "k": draw(_sometimes(st.just(k), [0, -1, True, float(k), str(k), None], 12)),
+        "entries": draw(_sometimes(st.lists(entry, max_size=6), [5, "ab", None, {"a": 1}], 12)),
+    }
+    doc.pop(draw(st.sampled_from([None] * 15 + ["id", "k", "entries"])), None)
+    return doc
+
+
+def _load_outcome(load, data):
+    try:
+        return load(data)
+    except (TypeError, KeyError, ValueError) as refusal:
+        return type(refusal), str(refusal)
+
+
+# A bad entry first, and a later fault that wins over it: a wrong structure,
+# a point listed twice, or a bad or missing k.
+_MIXED_FAULTS = [
+    {"id": "f", "k": 2, "entries": [[[0, 0], -1], [[0, 1], 0], "ab"]},
+    {"id": "f", "k": 2, "entries": [[[0, 0], -1], [[0, 1]]]},
+    {"id": "f", "k": 2, "entries": [[[0, 0], -1], [[0, [1]], 0]]},
+    {"id": "f", "k": 2, "entries": [[[0, 0], -1], [[0, 1], 0], [[0, 1], 1]]},
+    {"id": "f", "k": 2, "entries": [[[True, 1], 0], [[1, 1], 0]]},
+    {"id": "f", "k": 0, "entries": [[[0, 0], -1], [[0, 0], 1]]},
+    {"id": "f", "entries": [[[0, 0], -1], [[0, 0], 1]]},
+    {"id": "f", "entries": [[[0, 0], -1]]},
+    {"id": "f", "k": True, "entries": [[[0, 0], -1]]},
+    {"id": "f", "k": 2, "entries": [[[], 0], [[0, 0, 0], 1], [[0, 1.5], 0]]},
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_function_docs())
+@example({"id": "f", "k": 2, "entries": []})
+def test_loader_refuses_as_the_literal_loader(data):
+    want = _load_outcome(literal_load_function, data)
+    assert _load_outcome(FiniteFunction.from_json_dict, data) == want
+
+
+@pytest.mark.parametrize("data", _MIXED_FAULTS)
+def test_loader_keeps_the_order_of_mixed_faults(data):
+    want = _load_outcome(literal_load_function, data)
+    assert isinstance(want, tuple)
+    assert _load_outcome(FiniteFunction.from_json_dict, data) == want
 
 
 def _families(k):
