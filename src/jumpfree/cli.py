@@ -426,7 +426,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapacityError as exc:
         print(f"jumpfree: capacity: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"jumpfree: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(text)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import Cube, json_items
 from .predicates import FiniteFunction, _cube_power
@@ -26,10 +26,6 @@ SHIFTED = "shifted"
 MULTISET = "multiset"
 SET = "set"
 SEMANTICS = (MULTISET, SET)
-
-INTERVAL_LOW = 0
-INTERVAL_MID = 1
-INTERVAL_HIGH = 2
 
 
 def _zigzag(n: int) -> int:
@@ -78,19 +74,15 @@ class ZBijection:
         return cls(SHIFTED, int(shifted[1]))
 
 
-@dataclass(frozen=True)
-class GammaTriple:
+class GammaTriple(NamedTuple):
     """One bijection per interval index."""
 
     g0: ZBijection
     g1: ZBijection
     g2: ZBijection
 
-    def __getitem__(self, i: int) -> ZBijection:
-        return (self.g0, self.g1, self.g2)[i]
-
     def to_json_dict(self) -> dict:
-        return {"g0": self.g0.spec(), "g1": self.g1.spec(), "g2": self.g2.spec()}
+        return {name: g.spec() for name, g in zip(self._fields, self)}
 
     @classmethod
     def parse(cls, text: str) -> "GammaTriple":
@@ -175,19 +167,16 @@ def build_fh(
     """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}, expected one of {SEMANTICS}")
-    # Each value lands in [0, min(E)), [min(E), min(x)) or [min(x), oo).
+    # Interval 0, 1 or 2: each value lands in [0, min(E)), [min(E), min(x)) or [min(x), oo).
     low = cube.elements[0]
-    per_interval: list[list[int]] = [[], [], []]
+    full: list[int] = []
+    partial: list[int] = []
     for x, v in zip(*_cube_power(f, cube)):
-        if v < low:
-            per_interval[INTERVAL_LOW].append(v)
-        elif v < min(x):
-            per_interval[INTERVAL_MID].append(v)
-        else:
-            per_interval[INTERVAL_HIGH].append(v)
-    images = [[gammas[i].apply(v) for v in values] for i, values in enumerate(per_interval)]
-    full = images[INTERVAL_LOW] + images[INTERVAL_MID] + images[INTERVAL_HIGH]
-    partial = images[INTERVAL_LOW] + images[INTERVAL_HIGH]
+        interval = 0 if v < low else 1 if v < min(x) else 2
+        image = gammas[interval].apply(v)
+        full.append(image)
+        if interval != 1:
+            partial.append(image)
     if semantics == SET:
         full, partial = set(full), set(partial)
     return IntMultiset.from_values(full), IntMultiset.from_values(partial)

@@ -56,23 +56,13 @@ class FiniteFunction:
     entries: dict[KTuple, int]
 
     def __post_init__(self) -> None:
-        # Checks what a caller built.  Members generated from a UniverseSpec
-        # are built unchecked by _trusted; from_json_dict checks its own dict.
-        self.entries = dict(self.entries)
-        self._checked()
-
-    @classmethod
-    def _trusted(cls, id: str, k: int, entries: dict[KTuple, int]) -> "FiniteFunction":
-        """The function with these fields as given, neither copied nor checked."""
-        f = object.__new__(cls)
-        f.id, f.k, f.entries = id, k, entries
-        return f
-
-    def _checked(self) -> "FiniteFunction":
-        """Refuse a bad arity k, then the first entry that is not a plain tuple
-        of k nonnegative ints valued by a nonnegative int; else return self."""
+        # Checks what a caller built or from_json_dict loaded: a bad arity k,
+        # then the first entry that is not a plain tuple of k nonnegative ints
+        # valued by a nonnegative int.  Members generated from a UniverseSpec
+        # are built unchecked by _trusted.
         if not is_nat(self.k) or self.k < 1:
             raise ValueError(f"{self.id}: arity k must be an integer >= 1, got {self.k!r}")
+        self.entries = dict(self.entries)
         # is_nat written out: a call per number was about half the time of
         # this loop, which every checked and every loaded member runs.
         for t, v in self.entries.items():
@@ -87,7 +77,13 @@ class FiniteFunction:
                 raise ValueError(f"{self.id}: domain point {t} has arity {len(t)}, expected {self.k}")
             if type(v) is not int or v < 0:
                 raise ValueError(f"{self.id}: value at {t} must be a nonnegative integer, got {v!r}")
-        return self
+
+    @classmethod
+    def _trusted(cls, id: str, k: int, entries: dict[KTuple, int]) -> "FiniteFunction":
+        """The function with these fields as given, neither copied nor checked."""
+        f = object.__new__(cls)
+        f.id, f.k, f.entries = id, k, entries
+        return f
 
     def __call__(self, x: KTuple) -> int:
         return self.entries[x]
@@ -121,7 +117,7 @@ class FiniteFunction:
             raise TypeError("entries must be [point, value] pairs") from None
         if len(entries) < len(data["entries"]):
             raise ValueError(f"{data['id']}: a domain point is listed more than once")
-        return cls._trusted(data["id"], data["k"], entries)._checked()
+        return cls(data["id"], data["k"], entries)
 
 
 @dataclass

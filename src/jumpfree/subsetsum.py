@@ -142,23 +142,13 @@ def run_corollary_experiment(
     empty.
     """
     witness = find_regressively_regular_witness(members, p, k)
+    report = {"outcome": OUTCOME_NO_WITNESS, "method": method, "p": p, "timings_ms": {}}
+    report |= dict.fromkeys((
+        "witness", "fh_equal", "solvable_F", "solvable_H", "agreement",
+        "cardinality_ok", "f_multiset", "h_multiset", "certificate_F", "certificate_H",
+    ))
     if witness is None:
-        return {
-            "outcome": OUTCOME_NO_WITNESS,
-            "method": method,
-            "p": p,
-            "witness": None,
-            "fh_equal": None,
-            "solvable_F": None,
-            "solvable_H": None,
-            "agreement": None,
-            "cardinality_ok": None,
-            "f_multiset": None,
-            "h_multiset": None,
-            "certificate_F": None,
-            "certificate_H": None,
-            "timings_ms": {},
-        }
+        return report
 
     f = witness.function
     f_ms, h_ms = build_fh(f, witness.cube, gammas=gammas, semantics="multiset")
@@ -169,10 +159,8 @@ def run_corollary_experiment(
     cert_h = solve_subset_sum(h_ms, method)
     t2 = time.perf_counter()
 
-    return {
+    return report | {
         "outcome": OUTCOME_OK,
-        "method": method,
-        "p": p,
         "witness": witness.to_json_dict(),
         "fh_equal": f_ms == h_ms,
         "solvable_F": cert_f is not None,

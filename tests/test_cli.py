@@ -672,6 +672,45 @@ def test_universe_of_only_small_domains_exits_0(capsys, command, key, value):
     assert doc["violation"] is None
 
 
+def test_no_witness_experiment_report_has_the_ok_key_set(capsys):
+    argv = ["--k", "2", "--grid", "3", "--max-domain", "4", "--samples", "0", "--p", "3"]
+    status, doc = run_json(capsys, "experiment", *argv)
+    assert status == EXIT_OK
+    report = doc["report"]
+    status, ok = run_json(capsys, "experiment", "--grid", "4")
+    assert status == EXIT_OK and ok["report"]["outcome"] == "ok"
+    assert report.keys() == ok["report"].keys()
+    # The CLI adds the universe it searched to the library's report.
+    assert report.pop("universe")["gridBound"] == 3
+    assert {key: report.pop(key) for key in ("outcome", "method", "p", "timings_ms")} == {
+        "outcome": "no_witness",
+        "method": "dp",
+        "p": 3,
+        "timings_ms": {},
+    }
+    assert set(report.values()) == {None}
+
+
+_NOT_JSON = {"empty": b"", "truncated": b'{"k": 2,', "not_utf8": b'{"k": \xff}'}
+
+
+@pytest.mark.parametrize("document", ["empty", "truncated", "not_utf8", "directory", "missing"])
+@pytest.mark.parametrize(
+    "command", ["check-jumpfree", "check-full", "search", "check-rr", "sets", "solve"]
+)
+def test_document_that_is_not_json_exits_1(capsys, tmp_path, command, document):
+    path = tmp_path / document
+    if document == "directory":
+        path.mkdir()
+    elif document in _NOT_JSON:
+        path.write_bytes(_NOT_JSON[document])
+    assert main([command, "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jumpfree: error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 @pytest.mark.parametrize("command", ["solve", "check-jumpfree", "check-rr"])
 def test_deeply_nested_document_exits_1(capsys, tmp_path, command):
     path = tmp_path / "deep.json"

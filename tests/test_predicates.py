@@ -50,6 +50,13 @@ def test_finite_function_rejects_bad_entries():
         FiniteFunction(id="f0", k=0, entries={})
 
 
+def test_finite_function_checks_k_before_it_reads_the_entries():
+    # The arity is refused before entries, here not even a mapping, are copied.
+    with pytest.raises(ValueError) as info:
+        FiniteFunction("f", 0, 5)
+    assert str(info.value) == "f: arity k must be an integer >= 1, got 0"
+
+
 def test_finite_function_keeps_its_own_copy_of_valid_entries():
     entries = {(3, 0, 7): 3}
     f = FiniteFunction(id="f0", k=3, entries=entries)

@@ -153,13 +153,20 @@ def test_experiment_solvable_instance():
 
 
 def test_experiment_no_witness_outcome():
-    # A domain with no 2-cube cannot produce a witness.
+    # A domain with no 2-cube cannot produce a witness.  The report still
+    # has the ok report's keys, with every result field null.
     fam = _family_on_square({(0, 1): 1})
-    report = run_corollary_experiment(fam, 2)
-    assert report["outcome"] == "no_witness"
-    assert report["witness"] is None
-    assert report["fh_equal"] is None
-    assert report["agreement"] is None
+    report = run_corollary_experiment(fam, 2, method="exhaustive")
+    dom = tuple(itertools.product((2, 5), repeat=2))
+    ok = run_corollary_experiment(gen_family("max", [dom]), 2)
+    assert report.keys() == ok.keys()
+    assert {key: report.pop(key) for key in ("outcome", "method", "p", "timings_ms")} == {
+        "outcome": "no_witness",
+        "method": "exhaustive",
+        "p": 2,
+        "timings_ms": {},
+    }
+    assert set(report.values()) == {None}
 
 
 def test_experiment_equal_multisets_force_agreement():
