@@ -8,22 +8,59 @@ sets, one run at a time, then writes BENCH_<LABEL>.json at the root of
 the checkout: per workload, the median of each end-to-end metric over
 the seeds and every run's own values with its attempted and failed op
 counts, plus the Python version, os.cpu_count() and `git rev-parse HEAD`
-(with whether the working tree differed from it).  Exits 1 without
-writing when any run fails.
+(with whether the working tree differed from it).  A `search` block
+times each of SEARCH_CASES, witness searches past the pinned pools'
+sizes, through cli.main in this process: the median of 3 wall times, the
+exit code and the sha256 of stdout with the solve timings zeroed, so a
+digest that moves between two BENCH files marks a changed output.  Exits
+1 without writing when any run fails.
 """
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # Fixed, so that BENCH_*.json files of different commits are comparable.
 SEEDS = (1, 2, 3)
+
+# One-member k = 2 documents on the n x n grid: name -> (n, value, points left out).
+SEARCH_DOCS = {
+    "grid20.json": (20, lambda x: max(min(x) - 1, 0), ()),
+    "grid16.json": (16, lambda x: max(min(x) - 1, 0), ()),
+    "zero16.json": (16, lambda x: 0, ()),
+    "zero16_lookup.json": (16, lambda x: 0, ((15, 0),)),
+}
+SEARCH_CASES = {
+    # C(20, 10) cubes and no witness: the work budget refuses it.
+    "grid20_refusal": ["search", "--input", "grid20.json", "--p", "10"],
+    "grid16_no_witness": ["search", "--input", "grid16.json", "--p", "8"],
+    # Witness (1, ..., 8) after every cube holding 0: a full power, then the
+    # lookup path.
+    "zero16": ["search", "--input", "zero16.json", "--p", "8"],
+    "zero16_lookup": ["search", "--input", "zero16_lookup.json", "--p", "8"],
+    # Universes whose cube classes too small for a p-cube are never built.
+    "max_grid18_p16": (
+        "experiment --family max --k 2 --samples 0 --grid 18 --max-domain 256 --p 16".split()
+    ),
+    "max_grid20_p20": (
+        "experiment --family max --k 2 --samples 0 --grid 20 --max-domain 400 --p 20".split()
+    ),
+    "min_grid24_p24": (
+        "experiment --family min --k 2 --samples 0 --grid 24 --max-domain 576 --p 24".split()
+    ),
+}
 
 
 def git(*args: str) -> str:
@@ -47,6 +84,40 @@ def run_once(workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def run_search_cases() -> dict:
+    sys.path.insert(0, str(ROOT / "src"))
+    from jumpfree import cli
+
+    block, cwd = {}, os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (n, value, left_out) in SEARCH_DOCS.items():
+            points = [(a, b) for a in range(n) for b in range(n) if (a, b) not in left_out]
+            member = {"id": "m", "k": 2, "entries": [[list(x), value(x)] for x in points]}
+            Path(tmp, name).write_text(json.dumps({"k": 2, "members": [member]}))
+        os.chdir(tmp)  # the documents are named relative to it, as the output echoes them
+        try:
+            for case, argv in SEARCH_CASES.items():
+                times = []
+                for _ in range(3):
+                    out, err = io.StringIO(), io.StringIO()
+                    start = time.perf_counter()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        status = cli.main(argv)
+                    times.append((time.perf_counter() - start) * 1000)
+                text = re.sub(r'("solve_[FH]": )[-0-9.e]+', r"\g<1>0", out.getvalue())
+                block[case] = {
+                    "argv": argv,
+                    "median_ms": statistics.median(times),
+                    "exit": status,
+                    "stdout_sha256": hashlib.sha256(text.encode()).hexdigest(),
+                }
+                summary = f"{block[case]['median_ms']:.1f} ms, exit {status}"
+                print(f"search {case}: {summary}", file=sys.stderr)
+        finally:
+            os.chdir(cwd)
+    return block
 
 
 def main() -> int:
@@ -79,6 +150,7 @@ def main() -> int:
         "seconds": seconds,
         "seeds": list(SEEDS),
         "workloads": workloads,
+        "search": run_search_cases(),
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")

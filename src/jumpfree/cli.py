@@ -88,14 +88,16 @@ class RunConfig(JsonRecord):
 
 @contextlib.contextmanager
 def _reading(path: str, expected: str) -> Iterator:
-    """The JSON document at path.  A TypeError or KeyError raised while the
-    body reads it into records means its structure is wrong; it is raised
-    again as a ValueError that names the file and what it should hold."""
+    """The JSON document at path.  Text that is not UTF-8 JSON raises a
+    ValueError that names the file; so does a TypeError or KeyError raised
+    while the body reads it into records, naming what it should hold."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: document nested too deeply") from None
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: not JSON: {exc}") from None
     try:
         yield data
     except (TypeError, KeyError):

@@ -160,22 +160,29 @@ class Cube(JsonRecord):
 
 
 def iter_cubes(
-    domain: Iterable[KTuple], p: int, charge: Optional[Callable[[int], None]] = None
-) -> Iterator[tuple[int, ...]]:
+    domain: Iterable[KTuple],
+    p: int,
+    charge: Optional[Callable[[int], None]] = None,
+    cut: Optional[Callable[[KTuple], bool]] = None,
+) -> Iterator[tuple[int, ...] | int]:
     """The element tuple of every cube of p elements whose full Cartesian
     power lies inside domain, made as the consumer asks for it, in
     lexicographic order, which keeps every downstream search deterministic.
 
-    A domain that is the full power of its sorted field holds every set, so
-    its cubes are the field's p-combinations.  Any other domain is
-    backtracked over with linear set-up: a candidate is the next element
-    whose diagonal point the domain holds, and an extension looks up its
-    new points.  charge, when given, is called with the points counted, not
-    looked up, for the element sets S tried: |S|^k - (|S|-1)^k each, the
-    points of S^k that hold S's last element.  On a full power every set
-    tried extends, and those since the last cube, the prefixes that a cube
-    does not share with it, are charged in one sum before it.  Otherwise
-    the sets are charged before each extension and at the end.
+    The domain is backtracked over with linear set-up: a candidate is the
+    next element whose diagonal point the domain holds, and an extension
+    looks up its new points, unless the domain is the full power of its
+    field, which holds every set.  charge, when given, is called with the
+    points counted, not looked up, for the element sets S tried:
+    |S|^k - (|S|-1)^k each, the points of S^k that hold S's last element,
+    charged before each extension and at the end.
+
+    cut, when given, is called with each prefix of 2 to p - 1 elements that
+    may begin more than one cube, when the consumer asks for the cube after
+    the first one below it; if it answers true, the int n stands for the n
+    cubes left below it.  On a full power these and the sets tried below the
+    prefix are binomials, charged in one sum; otherwise they are still
+    backtracked over and charged.
     """
     if p < 1:
         raise ValueError("cube size p must be >= 1")
@@ -185,17 +192,16 @@ def iter_cubes(
         return  # no room for the p^k points of a cube
     fld = sorted(set().union(*points))
     n, charge = len(fld), charge or (lambda points: None)
-    if n < 2 or not power_exceeds(n, k, len(points)):  # the power of the whole field
-        last = ()
-        for cube in itertools.combinations(fld, p):
-            shared = sum(itertools.takewhile(bool, map(operator.eq, cube, last)))
-            charge(p**k - shared**k)  # new prefix sizes t > shared, each t^k - (t-1)^k
-            yield cube
-            last = cube
+    if n == p:  # the power of the whole field, which holds no cube but itself
+        charge(p**k)
+        yield tuple(fld)
         return
-    on, check = bytes(48 + ((e,) * k in points) for e in fld), points.__contains__
+    full = not power_exceeds(n, k, len(points))
+    on, check = bytes(48 + (full or (e,) * k in points) for e in fld), points.__contains__
     cost = [(m + 1) ** k - m**k for m in range(p)]
-    chosen, part, pos, owed = [], (), 0, 0
+    # checked: the prefix sizes of the path asked about; skip: the size of the
+    # cut prefix on it, if any, with skipped the cubes found below it.
+    chosen, part, pos, owed, checked, skip, skipped = [], (), 0, 0, 0, 0, 0
     while True:
         hi = n - p + (m := len(chosen))
         if (j := on.find(49, pos, hi + 1)) < 0:  # no candidate left at depth m
@@ -204,19 +210,37 @@ def iter_cubes(
         if j > hi:  # every set left at depth m was tried
             if not chosen:
                 break
-            pos, part = chosen.pop() + 1, part[:-1]
+            if m == skip:  # the cut subtree is done
+                yield skipped
+                skip = skipped = 0
+            pos, part, checked = chosen.pop() + 1, part[:-1], min(checked, m - 1)
             continue
         pos, cand = j + 1, part + (e := (fld[j],))
+        # The new points hold e, first at i; a full power holds them all.
         new = (itertools.product(*[part] * i, e, *[cand] * (k - 1 - i)) for i in range(k))
-        if not all(map(check, itertools.chain.from_iterable(new))):  # they hold e, first at i
+        if not full and not all(map(check, itertools.chain.from_iterable(new))):
             continue
         charge(owed)
         owed = 0
-        if m + 1 == p:
-            yield cand
-        else:
+        if m + 1 < p:
             chosen.append(j)
             part = cand
+        elif skip:
+            skipped += 1
+        else:
+            yield cand
+            # The shortest cut prefix past those asked about, of those that may
+            # begin more than one cube: C(n - 1 - j, p - m) for m elements, last j.
+            new_sizes = range(max(checked, 1) + 1, p)
+            may = [m for m in new_sizes if math.comb(n - 1 - chosen[m - 1], p - m) > 1]
+            skip, checked = next((m for m in may if cut and cut(cand[:m])), 0), p - 1
+            if skip and full:  # below the cut prefix, C(n - p + t - 1 - i, t - skip) sets of size t
+                i, sizes = chosen[skip - 1], range(skip + 1, p + 1)
+                below = sum(math.comb(n - p + t - 1 - i, t - skip) * cost[t - 1] for t in sizes)
+                charge(below - p**k + skip**k)  # less the sets up to cand, charged
+                yield math.comb(n - 1 - i, p - skip) - 1
+                pos, part, checked, chosen[skip - 1 :] = i + 1, part[: skip - 1], skip - 1, []
+                skip = 0
     charge(owed)
 
 

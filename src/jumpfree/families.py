@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .core import CapacityError, Cube, JsonRecord, KTuple, iter_cubes, power_exceeds
-from .predicates import VIOLATED, Family, FiniteFunction, iter_class_verdicts
+from .predicates import Family, FiniteFunction, iter_class_verdicts
 
 Domain = tuple[KTuple, ...]
 
@@ -70,11 +70,12 @@ def _cube_sizes(spec: UniverseSpec) -> Iterator[tuple[int, int]]:
         yield size, size**spec.k
 
 
-def _points_bound(spec: UniverseSpec, cap: int) -> int:
+def _points_bound(spec: UniverseSpec, cap: int, small: Callable[[int], bool]) -> int:
     """Upper bound on the points the universe materializes: the grid and
     every sampled domain at full size when samples are drawn, and every
-    cube power.  Summing stops once the bound passes cap, so huge specs
-    cost nothing to reject."""
+    cube power but those of a size class that small says is left unbuilt.
+    Summing stops once the bound passes cap, so huge specs cost nothing to
+    reject."""
     bound = 0
     if spec.sample_count:  # the grid is built only to sample from
         grid, k = spec.grid_bound, spec.k
@@ -83,7 +84,8 @@ def _points_bound(spec: UniverseSpec, cap: int) -> int:
     for size, power in _cube_sizes(spec):
         if bound > cap:
             break
-        bound += math.comb(spec.grid_bound, size) * power
+        if not small(power):
+            bound += math.comb(spec.grid_bound, size) * power
     return bound
 
 
@@ -99,12 +101,13 @@ def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Domai
     and the int n stands for n of them: a cube size class is one int,
     C(grid_bound, size), and a random domain, still drawn so that later
     draws do not change, is 1.  Raises CapacityError before yielding
-    anything when the spec may need over UNIVERSE_MAX_POINTS points.
+    anything when the spec may need over UNIVERSE_MAX_POINTS points, not
+    counting the cube domains it does not build.
     """
-    if _points_bound(spec, UNIVERSE_MAX_POINTS) > UNIVERSE_MAX_POINTS:
-        raise CapacityError(f"universe capped at {UNIVERSE_MAX_POINTS} points")
     k, powers, seen = spec.k, set(), set()
     small = (lambda size: False) if p is None else functools.partial(power_exceeds, p, k)
+    if _points_bound(spec, UNIVERSE_MAX_POINTS, small) > UNIVERSE_MAX_POINTS:
+        raise CapacityError(f"universe capped at {UNIVERSE_MAX_POINTS} points")
     for size, power in _cube_sizes(spec):
         powers.add(power)
         if small(power):
@@ -261,6 +264,10 @@ def find_regressively_regular_witness(
     tried for cubes (charged as iter_cubes says) and the p^k points of each
     cube (charged before it is classified) share one budget,
     UNIVERSE_MAX_POINTS, and CapacityError is raised when it is passed.
+    No cube below a prefix E' with a violated class is regular: its class in
+    E^k holds the class of E'^k, so a point valued below its own minimum and
+    no one value below min(E) = min(E').  iter_cubes cuts such prefixes off,
+    and the cubes below are counted and charged as if classified.
     """
     if p < 2:
         raise ValueError("witness search requires cube size p >= 2")
@@ -276,17 +283,24 @@ def find_regressively_regular_witness(
         if work > UNIVERSE_MAX_POINTS:
             raise CapacityError(f"witness search capped at {UNIVERSE_MAX_POINTS} points of work")
 
+    def violated(prefix: KTuple) -> bool:
+        return any(verdict is None for _, verdict in iter_class_verdicts(f, prefix))
+
     for f in members:
         if isinstance(f, int):
             functions_examined += f
             continue
         functions_examined += 1
-        for elements in iter_cubes(f.entries, p, charge):
+        for elements in iter_cubes(f.entries, p, charge, violated):
+            if isinstance(elements, int):  # cubes below a violated prefix: none is regular
+                cubes_examined += elements
+                charge(elements * p**k)
+                continue
             cubes_examined += 1
             charge(p**k)
             per_class = {}
             for label, verdict in iter_class_verdicts(f, elements):
-                if verdict["kind"] == VIOLATED:
+                if verdict is None:
                     break
                 per_class[label] = verdict
             else:

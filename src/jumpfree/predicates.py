@@ -277,7 +277,7 @@ def _cube_power(f: FiniteFunction, cube: Cube) -> tuple[list[KTuple], list[int]]
         raise ValueError(f"{refusal}: missing {missing.args[0]}") from None
 
 
-def iter_class_verdicts(f: FiniteFunction, elements: KTuple) -> Iterator[tuple[str, dict]]:
+def iter_class_verdicts(f: FiniteFunction, elements: KTuple) -> Iterator[tuple[str, dict | None]]:
     """(label, verdict) of each order-type class realized in E^k, for E the
     p >= 2 strictly increasing elements and k f's arity, in lexicographic
     signature order, each classified as it is asked for, so a consumer may
@@ -286,17 +286,15 @@ def iter_class_verdicts(f: FiniteFunction, elements: KTuple) -> Iterator[tuple[s
     Each class must either be constant with a value below the cube's
     minimum element (verdict "case1", with that value), or have every
     point's value at least that point's own minimum coordinate ("case2").
-    Otherwise it is "violated": offender is the first point valued below
-    its own minimum, and conflictPair the first point and the first valued
-    differently, or null when the class is constant.  Values need not be
-    reflexive here.  A class's points, from the (p, k) layout, and values
-    are read only when it is classified.  E^k must lie in f's domain:
-    iter_cubes yields only such cubes, and regressive_regularity checks.
+    Otherwise it is violated, and its verdict is None: regressive_regularity
+    alone reports why.  Values need not be reflexive here.  A class's
+    points, from the (p, k) layout, and values are read only when it is
+    classified.  E^k must lie in f's domain: iter_cubes yields only such
+    cubes, and regressive_regularity checks.
     """
     for label, j, coordinates in order_layout(len(elements), f.k):
         coords = coordinates(elements)
-        points = list(zip(*[iter(coords)] * f.k))
-        values = list(map(f.entries.__getitem__, points))
+        values = list(map(f.entries.__getitem__, zip(*[iter(coords)] * f.k)))
         first = values[0]
         # min(x) of a point in the class is x[j], where its signature is 0.
         # A constant class below min(E) has its first point below that, too.
@@ -305,23 +303,34 @@ def iter_class_verdicts(f: FiniteFunction, elements: KTuple) -> Iterator[tuple[s
         elif all(map(operator.ge, values, coords[j::f.k])):
             yield label, {"kind": CASE2}
         else:
-            low = next(i for i, v in enumerate(values) if v < points[i][j])
-            odd = next((i for i, v in enumerate(values) if v != first), None)
-            yield label, {
-                "kind": VIOLATED,
-                "offender": list(points[low]),
-                "offenderValue": values[low],
-                "conflictPair": None if odd is None else [
-                    [list(points[0]), first], [list(points[odd]), values[odd]]
-                ],
-            }
+            yield label, None
+
+
+def _violation(f: FiniteFunction, j: int, coords: tuple) -> dict:
+    """The verdict of a violated class, from its points' coordinates laid end
+    to end in lexicographic order, each point's minimum at j: offender is the
+    first point valued below its own minimum, and conflictPair the first
+    point and the first valued differently, or null when it is constant."""
+    points = list(zip(*[iter(coords)] * f.k))
+    values = list(map(f.entries.__getitem__, points))
+    low = next(i for i, v in enumerate(values) if v < points[i][j])
+    odd = next((i for i, v in enumerate(values) if v != values[0]), None)
+    pair = None if odd is None else [[list(points[i]), values[i]] for i in (0, odd)]
+    return {
+        "kind": VIOLATED,
+        "offender": list(points[low]),
+        "offenderValue": values[low],
+        "conflictPair": pair,
+    }
 
 
 def regressive_regularity(f: FiniteFunction, cube: Cube) -> dict:
-    """Every verdict of iter_class_verdicts(f, cube), as {"overall": no class
-    violated, "perClass": {label: verdict}}, classes in signature order,
-    after the refusals of _cube_power."""
+    """Every verdict of iter_class_verdicts(f, cube), each violated one built
+    by _violation, as {"overall": no class violated, "perClass": {label:
+    verdict}}, classes in signature order, after the refusals of _cube_power."""
     _cube_power(f, cube)
-    per_class = dict(iter_class_verdicts(f, cube.elements))
+    e, per_class = cube.elements, {}
+    for (label, verdict), (_, j, at) in zip(iter_class_verdicts(f, e), order_layout(len(e), f.k)):
+        per_class[label] = verdict or _violation(f, j, at(e))
     overall = all(v["kind"] != VIOLATED for v in per_class.values())
     return {"overall": overall, "perClass": per_class}

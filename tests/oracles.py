@@ -9,7 +9,9 @@ import json
 import random
 from collections import Counter
 
-from jumpfree.core import is_nat, json_items, order_signature
+from jumpfree import families
+from jumpfree.core import CapacityError, Cube, is_nat, iter_cubes, json_items, order_signature
+from jumpfree.families import SearchStats, WitnessResult
 from jumpfree.intsets import IntMultiset
 from jumpfree.predicates import Family, FiniteFunction, JumpFreeWitness
 from jumpfree.subsetsum import SubsetCertificate
@@ -141,6 +143,36 @@ def literal_regressive_regularity(f, cube):
         per_class["(" + ",".join(map(str, sig)) + ")"] = verdict
     overall = all(v["kind"] != "violated" for v in per_class.values())
     return {"overall": overall, "perClass": per_class}
+
+
+def unpruned_search(members, p, k):
+    """The witness search with no prefix cut off: every cube iter_cubes makes
+    is counted, charged its p^k points against families.UNIVERSE_MAX_POINTS
+    and then classified in full by the literal report, in member order; an
+    int n among the members counts n members examined."""
+    functions_examined = cubes_examined = work = 0
+
+    def charge(points):
+        nonlocal work
+        work += points
+        if work > families.UNIVERSE_MAX_POINTS:
+            cap = families.UNIVERSE_MAX_POINTS
+            raise CapacityError(f"witness search capped at {cap} points of work")
+
+    for f in members:
+        if isinstance(f, int):
+            functions_examined += f
+            continue
+        functions_examined += 1
+        for elements in iter_cubes(f.entries, p, charge):
+            cubes_examined += 1
+            charge(p**k)
+            cube = Cube(elements, k)
+            report = literal_regressive_regularity(f, cube)
+            if report["overall"]:
+                stats = SearchStats(functions_examined, cubes_examined)
+                return WitnessResult(f, cube, report, stats)
+    return None
 
 
 def is_reflexive(f):

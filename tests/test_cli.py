@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jumpfree.cli
+import jumpfree.predicates
 from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, build_parser, main
 from jumpfree.families import FAMILY_KINDS, build_universe, iter_family, iter_universe
 from jumpfree.predicates import FiniteFunction
@@ -166,6 +167,36 @@ def test_check_rr_violated_exits_2(capsys, function_cube_file):
     assert doc["report"]["report"]["overall"] is False
     assert doc["violation"]["kind"] == "irregularClass"
     assert doc["violation"]["signature"] == "(0,0)"
+
+
+def test_only_check_rr_builds_violation_details(capsys, monkeypatch, tmp_path, function_cube_file):
+    # The search reads a violated class's verdict and moves on; offender and
+    # conflictPair are built for the check-rr report alone.
+    def refuse(*args):
+        raise AssertionError("violation details built")
+
+    # Every 3-cube of the grid, and each of their prefixes that begins more
+    # than one, has a violated class.
+    entries = [[list(x), max(min(x) - 1, 0)] for x in itertools.product(range(6), repeat=2)]
+    path = tmp_path / "no-witness.json"
+    path.write_text(json.dumps({"k": 2, "members": [{"id": "f", "k": 2, "entries": entries}]}))
+    with monkeypatch.context() as patched:
+        patched.setattr(jumpfree.predicates, "_violation", refuse)
+        status, doc = run_json(capsys, "search", "--input", str(path), "--p", "3")
+        assert (status, doc["report"]["found"]) == (EXIT_OK, False)
+        # Each 4-element full power valued by predmin fails at its first class.
+        argv = ["--family", "predmin", "--p", "4", "--grid", "8", "--max-domain", "16"]
+        status, doc = run_json(capsys, "search", *argv, "--samples", "0")
+        assert (status, doc["report"]["found"]) == (EXIT_OK, False)
+        with pytest.raises(AssertionError, match="violation details built"):
+            main(["check-rr", "--input", function_cube_file])
+    status, doc = run_json(capsys, "check-rr", "--input", function_cube_file)
+    assert doc["violation"]["verdict"] == {
+        "kind": "violated",
+        "offender": [5, 5],
+        "offenderValue": 3,
+        "conflictPair": [[[2, 2], 2], [[5, 5], 3]],
+    }
 
 
 def test_check_rr_regular_exits_0(capsys, tmp_path):
@@ -709,6 +740,8 @@ def test_document_that_is_not_json_exits_1(capsys, tmp_path, command, document):
     assert captured.out == ""
     assert captured.err.startswith("jumpfree: error: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    if document in _NOT_JSON:  # the line names the file
+        assert captured.err.startswith(f"jumpfree: error: {path}: not JSON: ")
 
 
 @pytest.mark.parametrize("command", ["solve", "check-jumpfree", "check-rr"])

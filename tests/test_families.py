@@ -3,13 +3,14 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jumpfree import families
-from jumpfree.core import CapacityError, power_exceeds
+from jumpfree.core import CapacityError, Cube, power_exceeds
 from jumpfree.families import (
     FAMILY_KINDS,
     UniverseSpec,
@@ -31,10 +32,13 @@ from jumpfree.predicates import (
 from oracles import (
     floor_walk_predmin,
     is_reflexive,
+    literal_cubes_in,
     literal_gen_family,
+    literal_regressive_regularity,
     literal_rule,
     literal_search_work,
     literal_universe,
+    unpruned_search,
 )
 
 
@@ -91,15 +95,26 @@ def test_build_universe_includes_full_cube_when_it_fits():
         {"k": 3, "grid_bound": 4, "max_domain_size": 27, "sample_count": 20},
         {"grid_bound": 6, "max_domain_size": 16, "sample_count": 40, "seed": 5},
         {"k": 1, "grid_bound": 9, "max_domain_size": 4, "sample_count": 7},
+        {"grid_bound": 6, "max_domain_size": 36, "p": 4},
+        {"k": 3, "grid_bound": 4, "max_domain_size": 64, "p": 3},
+        {"grid_bound": 5, "max_domain_size": 16, "sample_count": 30, "seed": 2, "p": 3},
     ],
 )
 def test_universe_guard_bounds_the_points_built(monkeypatch, overrides):
+    # Given p, the cube size classes too small for a p-cube are not built
+    # and not counted; sampled domains are counted at full size either way.
+    overrides = dict(overrides)
+    p = overrides.pop("p", None)
     s = spec(**overrides)
     grid_points = s.grid_bound**s.k if s.sample_count else 0  # the grid is built to sample from
-    points = grid_points + sum(map(len, build_universe(s)))
+    built = [d for d in iter_universe(s, p) if not isinstance(d, int)]
+    points = grid_points + sum(map(len, built))
     monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", points - 1)
     with pytest.raises(CapacityError, match="universe"):
-        build_universe(s)
+        next(iter_universe(s, p))
+    if not s.sample_count:  # the bound is exact
+        monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", points)
+        assert [d for d in iter_universe(s, p) if not isinstance(d, int)] == built
 
 
 def test_universe_with_huge_arity_never_builds_the_power():
@@ -456,10 +471,14 @@ def test_search_budget_raises_at_one_point_short_of_its_work(monkeypatch, member
 def test_search_budget_is_charged_before_the_work(monkeypatch):
     # One cube short of the budget for classifying all 20 cubes of the
     # no-witness grid: the last cube is refused before it is classified.
+    # A prefix that begins more than one cube is checked after the first of
+    # them, and if it has a violated class, the rest are charged but never
+    # classified.
     classified = []
 
     def counting_verdicts(f, cube):
-        classified.append(cube)
+        if len(cube) == 3:  # not a prefix
+            classified.append(cube)
         return iter_class_verdicts(f, cube)
 
     monkeypatch.setattr(families, "iter_class_verdicts", counting_verdicts)
@@ -467,4 +486,55 @@ def test_search_budget_is_charged_before_the_work(monkeypatch):
     monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", work - 9)
     with pytest.raises(CapacityError):
         find_regressively_regular_witness([_NO_WITNESS], 3, 2)
-    assert len(classified) == 19
+    cubes = literal_cubes_in(_NO_WITNESS.entries, 3)
+
+    def cut(cube):
+        below = [c for c in cubes if c[:2] == cube[:2]]
+        report = literal_regressive_regularity(_NO_WITNESS, Cube(cube[:2], 2))
+        return cube != below[0] and not report["overall"]
+
+    kept = [c for c in cubes if not cut(c)]
+    assert classified == kept[:-1]
+
+
+def _searched_function(draw, name, k):
+    # A full power of up to 7 elements (5 for k = 3), less up to two points
+    # for the lookup path, valued near its points' minima or at one low
+    # constant, so that prefixes are violated, cut, or neither.
+    fld = draw(st.sets(st.integers(0, 9), min_size=1, max_size=7 if k == 2 else 5))
+    points = list(itertools.product(sorted(fld), repeat=k))
+    dropped = draw(st.sets(st.sampled_from(points), max_size=2)) if draw(st.booleans()) else set()
+    low = draw(st.integers(0, 3))
+
+    def value(x):
+        return draw(st.sampled_from((low, max(min(x) - 1, 0), min(x), min(x) + 1, max(x))))
+
+    return FiniteFunction(name, k, {x: value(x) for x in points if x not in dropped})
+
+
+@st.composite
+def _searches(draw):
+    k, p = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    members = [_searched_function(draw, f"f{i}", k) for i in range(draw(st.integers(1, 3)))]
+    budget = draw(st.integers(10, 3000) | st.sampled_from([10**e for e in range(2, 8)]))
+    return members, p, k, budget
+
+
+def _search_outcome(search, members, p, k, budget):
+    with mock.patch.object(families, "UNIVERSE_MAX_POINTS", budget):
+        try:
+            return search(members, p, k)
+        except CapacityError as refusal:
+            return str(refusal)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_searches())
+@example(([_NO_WITNESS], 3, 2, 10**7))
+@example(([_NO_WITNESS], 3, 2, literal_search_work([_NO_WITNESS], 3) - 9))
+@example(([_NO_WITNESS_K3], 3, 3, 10**7))
+@example(([_MULTIPARTITE, _NO_WITNESS], 4, 2, 10**7))
+def test_pruned_search_matches_the_unpruned_search(case):
+    members, p, k, budget = case
+    want = _search_outcome(unpruned_search, members, p, k, budget)
+    assert _search_outcome(find_regressively_regular_witness, members, p, k, budget) == want
