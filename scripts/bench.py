@@ -60,6 +60,14 @@ SEARCH_CASES = {
     "min_grid24_p24": (
         "experiment --family min --k 2 --samples 0 --grid 24 --max-domain 576 --p 24".split()
     ),
+    # The 12,870 members of the size-8 class hold no witness; the first of
+    # size 9 is it.
+    "predmin_grid16_p8": (
+        "search --family predmin --k 2 --grid 16 --max-domain 256 --samples 0 --p 8".split()
+    ),
+    "constmin_grid16_p8": (
+        "search --family constmin --k 2 --grid 16 --max-domain 256 --samples 0 --p 8".split()
+    ),
 }
 
 

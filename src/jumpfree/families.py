@@ -89,6 +89,10 @@ def _points_bound(spec: UniverseSpec, cap: int, small: Callable[[int], bool]) ->
     return bound
 
 
+class _Images(int):
+    """n members, each an order-preserving image of the member just before."""
+
+
 def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Domain | int]:
     """The universe described by a spec, one domain at a time.
 
@@ -100,9 +104,11 @@ def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Domai
     domains of fewer than p^k points (no room for a p-cube) are not built,
     and the int n stands for n of them: a cube size class is one int,
     C(grid_bound, size), and a random domain, still drawn so that later
-    draws do not change, is 1.  Raises CapacityError before yielding
-    anything when the spec may need over UNIVERSE_MAX_POINTS points, not
-    counting the cube domains it does not build.
+    draws do not change, is 1.  A built cube size class is then its first
+    domain, the power of 0..size-1, and the _Images int C(grid_bound, size) - 1
+    for the rest.  Raises CapacityError before yielding anything when the
+    spec may need over UNIVERSE_MAX_POINTS points, not counting the cube
+    domains too small for a p-cube, but counting the images at full size.
     """
     k, powers, seen = spec.k, set(), set()
     small = (lambda size: False) if p is None else functools.partial(power_exceeds, p, k)
@@ -112,6 +118,10 @@ def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Domai
         powers.add(power)
         if small(power):
             yield math.comb(spec.grid_bound, size)
+            continue
+        if p is not None:  # the class's first domain, then its images
+            yield tuple(itertools.product(range(size), repeat=k))
+            yield _Images(math.comb(spec.grid_bound, size) - 1)
             continue
         for elems in itertools.combinations(range(spec.grid_bound), size):
             yield tuple(itertools.product(elems, repeat=k))
@@ -161,7 +171,8 @@ def _rule_constmin(dom: Domain) -> dict[KTuple, int]:
     return dict.fromkeys(dom, min(map(min, dom)))
 
 
-# Each rule maps a domain to its entries, whatever the order of its points.
+# Each rule maps a domain to its entries, whatever the order of its points,
+# and commutes with each increasing map s of N: rule(s.D)(s.x) = s(rule(D)(x)).
 _RULES = {
     "max": _rule_max,
     "min": _rule_min,
@@ -179,10 +190,10 @@ def iter_family(kind: str, universe: Iterable[Domain | int]) -> Iterator[FiniteF
     yield jump-free families; constmin does not, by design, so checkers
     have a guaranteed negative fixture.  Member i has id "{kind}-{i:03d}",
     and every member takes the arity of the first domain built.  An int n
-    in the universe, a run of n domains iter_universe left unbuilt as too
-    small for a p-cube, is passed on as n in their members' place, and the
-    next member's id is n further on.  Every member is checked as
-    FiniteFunction checks it.
+    in the universe, a run of n domains iter_universe left unbuilt, as too
+    small for a p-cube or as images of the domain before (an _Images int),
+    is passed on as it is in their members' place, and the next member's id
+    is n further on.  Every member is checked as FiniteFunction checks it.
     """
     return _iter_members(kind, universe, FiniteFunction)
 
@@ -257,6 +268,9 @@ def find_regressively_regular_witness(
     is pulled one member at a time and left at the witness, so a generated
     family is built only up to its first witness; an int n in it, a run of
     n members left unbuilt, counts n members examined and charges no work.
+    An _Images n, as the rules commute with its maps, holds no witness and
+    is counted and charged in one step as n times the member before, which
+    passes the budget exactly when charging member by member would.
     k is the members' arity; left out, it is members.k and a whole Family
     is scanned.
     Returns None when the members are exhausted; over a truncated universe
@@ -289,8 +303,12 @@ def find_regressively_regular_witness(
     for f in members:
         if isinstance(f, int):
             functions_examined += f
+            if isinstance(f, _Images):  # images of the member just searched
+                cubes_examined += f * (cubes_examined - start[0])
+                charge(f * (work - start[1]))
             continue
         functions_examined += 1
+        start = (cubes_examined, work)
         for elements in iter_cubes(f.entries, p, charge, violated):
             if isinstance(elements, int):  # cubes below a violated prefix: none is regular
                 cubes_examined += elements

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 from unittest import mock
 
 import pytest
@@ -103,12 +104,16 @@ def test_build_universe_includes_full_cube_when_it_fits():
 def test_universe_guard_bounds_the_points_built(monkeypatch, overrides):
     # Given p, the cube size classes too small for a p-cube are not built
     # and not counted; sampled domains are counted at full size either way.
+    # A built class is its first domain and an _Images run of n, counted as
+    # n domains of the first one's size, which the run stands for.
     overrides = dict(overrides)
     p = overrides.pop("p", None)
     s = spec(**overrides)
     grid_points = s.grid_bound**s.k if s.sample_count else 0  # the grid is built to sample from
-    built = [d for d in iter_universe(s, p) if not isinstance(d, int)]
-    points = grid_points + sum(map(len, built))
+    stream = list(iter_universe(s, p))
+    built = [d for d in stream if not isinstance(d, int)]
+    stood_for = (d.of if isinstance(d, _Image) else d for d in _expand_runs(stream))
+    points = grid_points + sum(len(d) for d in stood_for if d is not None)
     monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", points - 1)
     with pytest.raises(CapacityError, match="universe"):
         next(iter_universe(s, p))
@@ -298,10 +303,39 @@ def test_streamed_search_matches_search_over_whole_family(
     assert find_regressively_regular_witness(stream, p, k) == whole
 
 
+@dataclass(frozen=True)
+class _Image:
+    of: object
+
+
 def _expand_runs(stream):
     """The stream with each int n, a run of n unbuilt domains or members,
-    spelled out as n Nones."""
-    return [x for item in stream for x in ([None] * item if isinstance(item, int) else [item])]
+    spelled out as n Nones, or as n _Image(x) for an _Images run after x."""
+    out = []
+    for item in stream:
+        if isinstance(item, families._Images):
+            out += [_Image(out[-1])] * item
+        else:
+            out += [None] * item if isinstance(item, int) else [item]
+    return out
+
+
+def _ranks(points):
+    fld = sorted(set().union(*points))
+    return dict(zip(fld, range(len(fld))))
+
+
+def _order_type(dom):
+    """The domain with each coordinate replaced by its rank among them."""
+    rank = _ranks(dom)
+    return tuple(tuple(map(rank.get, x)) for x in dom)
+
+
+def _member_order_type(f):
+    """The entries with each coordinate and value replaced by its rank among
+    the coordinates."""
+    rank = _ranks(f.entries)
+    return {tuple(map(rank.get, x)): rank[v] for x, v in f.entries.items()}
 
 
 @settings(max_examples=80, deadline=None)
@@ -325,19 +359,33 @@ def test_search_over_size_filtered_stream_matches_search_over_whole_family(
     s = UniverseSpec(k, grid_bound, max_domain_size, sample_count, seed, include_all_cubes)
     runs = list(iter_universe(s, p))
     domains = _expand_runs(runs)
-    assert domains == [None if power_exceeds(p, k, len(d)) else d for d in literal_universe(s)]
+    literal = [None if power_exceeds(p, k, len(d)) else d for d in literal_universe(s)]
+    assert len(domains) == len(literal)
+    for d, want in zip(domains, literal):
+        if isinstance(d, _Image):  # the class's first domain, relabelled in order
+            assert _order_type(want) == _order_type(d.of)
+        else:
+            assert d == want
     # Each cube size class too small for a p-cube is one int, its C(grid, size)
-    # element sets, ahead of the classes that are built; a small draw is 1.
-    small_classes = [
-        math.comb(grid_bound, size)
-        for size in range(2, grid_bound + 1)
-        if include_all_cubes and size**k <= max_domain_size and size < p
-    ]
-    assert runs[: len(small_classes)] == small_classes
-    assert all(run == 1 for run in runs[len(small_classes) :] if isinstance(run, int))
+    # element sets; each built class is its first domain, the power of
+    # 0..size-1, and an _Images run of the rest.  A small draw is 1.
+    shape = []
+    for size in range(2, grid_bound + 1):
+        if include_all_cubes and size**k <= max_domain_size:
+            n = math.comb(grid_bound, size)
+            first = tuple(itertools.product(range(size), repeat=k))
+            shape += [n] if size < p else [first, families._Images(n - 1)]
+    assert runs[: len(shape)] == shape
+    assert list(map(type, runs[: len(shape)])) == list(map(type, shape))
+    assert all(type(run) is int and run == 1 for run in runs[len(shape) :] if isinstance(run, int))
     filtered = _expand_runs(iter_family(kind, iter(runs)))
     members = gen_family(kind, build_universe(s)).members
-    assert filtered == [None if d is None else f for d, f in zip(domains, members)]
+    assert len(filtered) == len(members)
+    for d, f, want in zip(domains, filtered, members):
+        if isinstance(d, _Image):  # the rule commutes with the relabelling
+            assert _member_order_type(want) == _member_order_type(f.of)
+        else:
+            assert f == (None if d is None else want)
     if k < 2:
         return
     whole = find_regressively_regular_witness(members, p, k)
@@ -369,6 +417,29 @@ def test_rules_give_the_literal_entries_in_domain_order(kind, universe):
     for dom in universe:
         got = gen_family(kind, [dom]).members[0].entries
         assert list(got.items()) == list(literal_rule(kind, dom).items())
+
+
+@st.composite
+def _domains_and_increasing_maps(draw):
+    k = draw(st.integers(1, 3))
+    points = st.lists(st.tuples(*[st.integers(0, 6)] * k), min_size=1, max_size=10, unique=True)
+    dom = tuple(draw(points))
+    fld = sorted(set().union(*dom))
+    image = draw(st.sets(st.integers(0, 50), min_size=len(fld), max_size=len(fld)))
+    return dom, dict(zip(fld, sorted(image)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(families._RULES)), case=_domains_and_increasing_maps())
+# The 3x3 power less its least diagonal point, onto {1, 4, 6}.
+@example("predmin", (tuple(itertools.product(range(3), repeat=2))[1:], {0: 1, 1: 4, 2: 6}))
+def test_rules_commute_with_increasing_maps(kind, case):
+    # The witness search counts the images of a class's first member as
+    # copies of it, which holds only while every rule commutes with them.
+    dom, sigma = case
+    rule = families._RULES[kind]
+    moved = tuple(tuple(map(sigma.get, x)) for x in dom)
+    assert rule(moved) == {tuple(map(sigma.get, x)): sigma[v] for x, v in rule(dom).items()}
 
 
 def _signed_domains(k):
@@ -538,3 +609,30 @@ def test_pruned_search_matches_the_unpruned_search(case):
     members, p, k, budget = case
     want = _search_outcome(unpruned_search, members, p, k, budget)
     assert _search_outcome(find_regressively_regular_witness, members, p, k, budget) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(FAMILY_KINDS),
+    k=st.integers(2, 3),
+    grid_bound=st.integers(2, 6),
+    max_domain_size=st.integers(8, 125),  # room for the 2-cube at k = 3
+    sample_count=st.sampled_from([0, 0, 3, 10]),
+    seed=st.integers(0, 10**6),
+    p=st.integers(2, 4),
+    budget=st.integers(10, 3000) | st.sampled_from([10**e for e in range(2, 6)]),
+)
+@example("predmin", 2, 6, 36, 0, 0, 3, 200)  # refused inside the size-3 images
+@example("predmin", 2, 6, 36, 0, 0, 3, 1000)  # the first size-4 member is the witness
+@example("constmin", 3, 5, 125, 0, 0, 2, 100)  # refused inside the size-2 images
+def test_search_over_class_images_matches_the_member_by_member_search(
+    kind, k, grid_bound, max_domain_size, sample_count, seed, p, budget
+):
+    # An _Images run is counted and charged in one step: the outcome, a
+    # refusal included, is the one the search over every member reaches.
+    s = UniverseSpec(k, grid_bound, max_domain_size, sample_count, seed, True)
+    runs = list(iter_universe(s, p))  # listed before the budget is made small
+    members = gen_family(kind, build_universe(s)).members
+    want = _search_outcome(find_regressively_regular_witness, members, p, k, budget)
+    stream = iter_family(kind, iter(runs))
+    assert _search_outcome(find_regressively_regular_witness, stream, p, k, budget) == want
