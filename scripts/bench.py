@@ -9,11 +9,12 @@ the checkout: per workload, the median of each end-to-end metric over
 the seeds and every run's own values with its attempted and failed op
 counts, plus the Python version, os.cpu_count() and `git rev-parse HEAD`
 (with whether the working tree differed from it).  A `search` block
-times each of SEARCH_CASES, witness searches past the pinned pools'
-sizes, through cli.main in this process: the median of 3 wall times, the
-exit code and the sha256 of stdout with the solve timings zeroed, so a
-digest that moves between two BENCH files marks a changed output.  Exits
-1 without writing when any run fails.
+times each of SEARCH_CASES through cli.main in this process: witness
+searches, and generation and jump-free checks over a sampled universe,
+all past the pinned pools' sizes.  Each records the median of 3 wall
+times, the exit code and the sha256 of stdout with the solve timings
+zeroed, so a digest that moves between two BENCH files marks a changed
+output.  Exits 1 without writing when any run fails.
 """
 
 import argparse
@@ -67,6 +68,17 @@ SEARCH_CASES = {
     ),
     "constmin_grid16_p8": (
         "search --family constmin --k 2 --grid 16 --max-domain 256 --samples 0 --p 8".split()
+    ),
+    # The 6,780-member universe of 3,000 draws: predmin is jump free (exit 0);
+    # constmin is not, with witness constmin-3785 / constmin-011 at (2, 2).
+    "gen_predmin_6780": (
+        "gen --family predmin --k 2 --grid 12 --max-domain 64 --samples 3000".split()
+    ),
+    "jumpfree_predmin_6780": (
+        "check-jumpfree --family predmin --k 2 --grid 12 --max-domain 64 --samples 3000".split()
+    ),
+    "jumpfree_constmin_6780": (
+        "check-jumpfree --family constmin --k 2 --grid 12 --max-domain 64 --samples 3000".split()
     ),
 }
 

@@ -36,7 +36,8 @@ class UniverseSpec(JsonRecord):
     Coordinates range over 0..grid_bound-1.  When include_all_cubes is
     set, every cube power that fits under max_domain_size comes first;
     sample_count seeded-random domains of size <= max_domain_size follow.
-    Identical specs yield identical universes.
+    Identical specs yield identical universes: each draw is CPython 3.10-3.13's
+    randint then sample, made from random.Random(seed).getrandbits alone.
     """
 
     k: int
@@ -70,10 +71,10 @@ def _cube_sizes(spec: UniverseSpec) -> Iterator[tuple[int, int]]:
         yield size, size**spec.k
 
 
-def _points_bound(spec: UniverseSpec, cap: int, small: Callable[[int], bool]) -> int:
-    """Upper bound on the points the universe materializes: the grid and
-    every sampled domain at full size when samples are drawn, and every
-    cube power but those of a size class that small says is left unbuilt.
+def _points_bound(spec: UniverseSpec, cap: int, p: Optional[int]) -> int:
+    """Upper bound on the points iter_universe(spec, p) materializes: the
+    grid and every sampled domain at full size when samples are drawn, and
+    every cube power, or given p, the first of each class it builds.
     Summing stops once the bound passes cap, so huge specs cost nothing to
     reject."""
     bound = 0
@@ -84,9 +85,16 @@ def _points_bound(spec: UniverseSpec, cap: int, small: Callable[[int], bool]) ->
     for size, power in _cube_sizes(spec):
         if bound > cap:
             break
-        if not small(power):
-            bound += math.comb(spec.grid_bound, size) * power
+        if p is None or not power_exceeds(p, spec.k, power):
+            bound += power if p is not None else math.comb(spec.grid_bound, size) * power
     return bound
+
+
+def _below(bits: Callable[[int], int], m: int) -> int:
+    """random.Random._randbelow_with_getrandbits(m), drawn from bits."""
+    while (r := bits(m.bit_length())) >= m:
+        pass
+    return r
 
 
 class _Images(int):
@@ -107,12 +115,12 @@ def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Domai
     draws do not change, is 1.  A built cube size class is then its first
     domain, the power of 0..size-1, and the _Images int C(grid_bound, size) - 1
     for the rest.  Raises CapacityError before yielding anything when the
-    spec may need over UNIVERSE_MAX_POINTS points, not counting the cube
-    domains too small for a p-cube, but counting the images at full size.
+    spec may need over UNIVERSE_MAX_POINTS points, counting only the domains
+    it builds from the cube size classes.
     """
     k, powers, seen = spec.k, set(), set()
     small = (lambda size: False) if p is None else functools.partial(power_exceeds, p, k)
-    if _points_bound(spec, UNIVERSE_MAX_POINTS, small) > UNIVERSE_MAX_POINTS:
+    if _points_bound(spec, UNIVERSE_MAX_POINTS, p) > UNIVERSE_MAX_POINTS:
         raise CapacityError(f"universe capped at {UNIVERSE_MAX_POINTS} points")
     for size, power in _cube_sizes(spec):
         powers.add(power)
@@ -128,12 +136,23 @@ def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Domai
 
     if spec.sample_count:  # draws index the grid in product's lexicographic order
         grid = list(itertools.product(range(spec.grid_bound), repeat=k))
-        rng = random.Random(spec.seed)
+        bits, n = random.Random(spec.seed).getrandbits, len(grid)
         for _ in range(spec.sample_count):
-            size = rng.randint(1, min(spec.max_domain_size, len(grid)))
-            dom = tuple(sorted(rng.sample(grid, size)))
-            if not (size in powers and len(set().union(*dom)) ** k == size) and dom not in seen:
-                seen.add(dom)
+            size = 1 + _below(bits, min(spec.max_domain_size, n))
+            if n <= 21 + (4 ** math.ceil(math.log(3 * size, 4)) if size > 5 else 0):
+                pool = list(range(n))  # sample's shrinking pool: picks collect at its end
+                for i in range(n - 1, n - 1 - size, -1):
+                    j = _below(bits, i + 1)
+                    pool[i], pool[j] = pool[j], pool[i]
+                picks = pool[n - size :]
+            else:  # sample's set of all n indices, repeats redrawn
+                picks = set()
+                while len(picks) < size:
+                    picks.add(_below(bits, n))
+            picks = tuple(sorted(picks))
+            dom = tuple(map(grid.__getitem__, picks))
+            if not (size in powers and len(set().union(*dom)) ** k == size) and picks not in seen:
+                seen.add(picks)
                 yield 1 if small(size) else dom
 
 

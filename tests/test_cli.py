@@ -541,7 +541,7 @@ def test_exhaustive_answers_a_small_multiset_of_large_values(capsys, tmp_path):
         ["gen", "--grid", "100000", "--samples", "1", "--no-cubes"],
         ["gen", "--k", "1000000000"],
         ["check-jumpfree", "--samples", "1000000000000"],
-        ["search", "--grid", "3000", "--samples", "0"],
+        ["search", "--grid", "4000", "--samples", "1"],
         ["search", "--k", "1000000000", "--p", "3"],
         ["experiment", "--k", "1000000000", "--p", "3"],
     ],
@@ -613,6 +613,19 @@ def test_gamma_outside_the_documented_spellings_exits_1(
     assert captured.err == f"jumpfree: error: cannot parse bijection {gamma!r}\n"
 
 
+def test_universe_cap_counts_one_member_per_built_cube_class(capsys):
+    # The C(20, 10) = 184,756 members of 100 points in the size-10 class are
+    # its first member and images of it: the cap counts the one it builds,
+    # which is the witness, after the 431,889 smaller members left unbuilt.
+    argv = ["--family", "max", "--k", "2", "--grid", "20", "--max-domain", "100"]
+    status, doc = run_json(capsys, "search", *argv, "--samples", "0", "--p", "10")
+    assert status == EXIT_OK
+    witness = doc["report"]["witness"]
+    assert witness["functionId"] == "max-431889"
+    assert witness["cube"]["elements"] == list(range(10))
+    assert witness["searchStats"] == {"functionsExamined": 431890, "cubesExamined": 1}
+
+
 def test_universe_without_samples_counts_no_grid_points(capsys):
     # 358,800 cube points and no samples: the grid is never built, so the
     # cap must not count its 300^3 points.
@@ -626,18 +639,18 @@ def test_universe_without_samples_counts_no_grid_points(capsys):
 def test_experiment_generates_members_only_up_to_the_witness(capsys, monkeypatch):
     # Generated members are built at one point, FiniteFunction._trusted.
     members, draws = [], []
-    real_trusted, real_sample = FiniteFunction._trusted, random.Random.sample
+    real_trusted, real_bits = FiniteFunction._trusted, random.Random.getrandbits
 
     def counting_trusted(*args):
         members.append(real_trusted(*args))
         return members[-1]
 
-    def counting_sample(self, *args, **kwargs):
-        draws.append(args)
-        return real_sample(self, *args, **kwargs)
+    def counting_bits(self, width):
+        draws.append(width)
+        return real_bits(self, width)
 
     monkeypatch.setattr(FiniteFunction, "_trusted", counting_trusted)
-    monkeypatch.setattr(random.Random, "sample", counting_sample)
+    monkeypatch.setattr(random.Random, "getrandbits", counting_bits)
     argv = ["experiment", "--family", "max", "--p", "3", "--grid", "8", "--max-domain", "64"]
     status, doc = run_json(capsys, *argv, "--samples", "300")
     assert status == EXIT_OK

@@ -104,16 +104,14 @@ def test_build_universe_includes_full_cube_when_it_fits():
 def test_universe_guard_bounds_the_points_built(monkeypatch, overrides):
     # Given p, the cube size classes too small for a p-cube are not built
     # and not counted; sampled domains are counted at full size either way.
-    # A built class is its first domain and an _Images run of n, counted as
-    # n domains of the first one's size, which the run stands for.
+    # A built class is its first domain and an _Images run, which builds
+    # nothing and counts 0 points.
     overrides = dict(overrides)
     p = overrides.pop("p", None)
     s = spec(**overrides)
     grid_points = s.grid_bound**s.k if s.sample_count else 0  # the grid is built to sample from
-    stream = list(iter_universe(s, p))
-    built = [d for d in stream if not isinstance(d, int)]
-    stood_for = (d.of if isinstance(d, _Image) else d for d in _expand_runs(stream))
-    points = grid_points + sum(len(d) for d in stood_for if d is not None)
+    built = [d for d in iter_universe(s, p) if not isinstance(d, int)]
+    points = grid_points + sum(map(len, built))
     monkeypatch.setattr(families, "UNIVERSE_MAX_POINTS", points - 1)
     with pytest.raises(CapacityError, match="universe"):
         next(iter_universe(s, p))
@@ -151,6 +149,33 @@ def test_build_universe_sampled_domains_respect_bounds():
         assert len(set(dom)) == len(dom)
         for t in dom:
             assert all(0 <= c < 3 for c in t)
+
+
+def _grid_shapes(k):
+    """(k, grid_bound) with at most 400 grid points."""
+    return st.tuples(st.just(k), st.integers(2, {1: 400, 2: 20, 3: 7}[k]))
+
+
+# random.sample picks from a pool when n grid points take no more room than
+# a set of the size drawn: n <= 21 for sizes up to 5, 85 for 6 to 21 and
+# 277 for 22 to 85.  A k = 1 grid has n points, so the examples meet each
+# step from both sides, with sizes capped at the top of the step's range.
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.integers(1, 3).flatmap(_grid_shapes),
+    max_domain_size=st.integers(1, 400),
+    sample_count=st.integers(1, 30),
+    seed=st.integers(0, 10**6),
+)
+@example((1, 21), 5, 30, 0)
+@example((1, 22), 5, 30, 0)
+@example((1, 85), 21, 30, 0)
+@example((1, 86), 21, 30, 0)
+@example((1, 277), 85, 30, 0)
+@example((1, 278), 85, 30, 0)
+def test_sampled_domains_are_random_sample_draws(shape, max_domain_size, sample_count, seed):
+    s = UniverseSpec(*shape, max_domain_size, sample_count, seed, include_all_cubes=False)
+    assert build_universe(s) == literal_universe(s)
 
 
 def test_gen_family_rules_are_reflexive_and_deterministic():
