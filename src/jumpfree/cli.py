@@ -364,16 +364,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, commands
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, the same object on every call."""
-    return _parsers()[0]
-
-
 def _parse_args(argv: list[str]) -> dict:
-    """RunConfig's keyword arguments for argv, as build_parser().parse_args
-    gives them.  After a command name, that parser only hands the rest to
+    """RunConfig's keyword arguments for argv, as the top-level parser's
+    parse_args gives them.  After a command name, it only hands the rest to
     the command's subparser and refuses what is left over, so both are
-    done here directly; any other argv but "--" and more goes to the top-level parser."""
+    done here directly; any other argv but "--" and more goes to it."""
     parser, commands = _parsers()
     if argv[:1] == ["--"] and argv[1:]:  # refused as argparse 3.10-3.13.0 do; later ones drop it
         choices = ", ".join(map(repr, commands))

@@ -58,38 +58,6 @@ class UniverseSpec(JsonRecord):
             raise ValueError("sample_count must be >= 0")
 
 
-def _cube_sizes(spec: UniverseSpec) -> Iterator[tuple[int, int]]:
-    """Each element-set size of the universe's cube domains, none unless
-    include_all_cubes is set, with the size^k points of one such cube.
-    Sizes stop where that power passes max_domain_size, which a huge k
-    shows before any power is computed."""
-    if not spec.include_all_cubes:
-        return
-    for size in range(2, spec.grid_bound + 1):
-        if power_exceeds(size, spec.k, spec.max_domain_size):
-            return
-        yield size, size**spec.k
-
-
-def _points_bound(spec: UniverseSpec, cap: int, p: Optional[int]) -> int:
-    """Upper bound on the points iter_universe(spec, p) materializes: the
-    grid and every sampled domain at full size when samples are drawn, and
-    every cube power, or given p, the first of each class it builds.
-    Summing stops once the bound passes cap, so huge specs cost nothing to
-    reject."""
-    bound = 0
-    if spec.sample_count:  # the grid is built only to sample from
-        grid, k = spec.grid_bound, spec.k
-        grid_points = cap + 1 if power_exceeds(grid, k, cap) else grid**k
-        bound = grid_points + spec.sample_count * min(spec.max_domain_size, grid_points)
-    for size, power in _cube_sizes(spec):
-        if bound > cap:
-            break
-        if p is None or not power_exceeds(p, spec.k, power):
-            bound += power if p is not None else math.comb(spec.grid_bound, size) * power
-    return bound
-
-
 def _below(bits: Callable[[int], int], m: int) -> int:
     """random.Random._randbelow_with_getrandbits(m), drawn from bits."""
     while (r := bits(m.bit_length())) >= m:
@@ -114,16 +82,31 @@ def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Domai
     C(grid_bound, size), and a random domain, still drawn so that later
     draws do not change, is 1.  A built cube size class is then its first
     domain, the power of 0..size-1, and the _Images int C(grid_bound, size) - 1
-    for the rest.  Raises CapacityError before yielding anything when the
-    spec may need over UNIVERSE_MAX_POINTS points, counting only the domains
-    it builds from the cube size classes.
+    for the rest.  Raises CapacityError before yielding anything when what
+    it builds may pass UNIVERSE_MAX_POINTS points: the grid and each draw at
+    full size when samples are drawn, and each cube size class whole, or
+    given p, its first domain or nothing.
     """
-    k, powers, seen = spec.k, set(), set()
+    k, cap, seen = spec.k, UNIVERSE_MAX_POINTS, set()
     small = (lambda size: False) if p is None else functools.partial(power_exceeds, p, k)
-    if _points_bound(spec, UNIVERSE_MAX_POINTS, p) > UNIVERSE_MAX_POINTS:
-        raise CapacityError(f"universe capped at {UNIVERSE_MAX_POINTS} points")
-    for size, power in _cube_sizes(spec):
-        powers.add(power)
+    # One walk of the cube sizes, stopped where size^k passes max_domain_size
+    # (a huge k shows before any power is computed) or the bound passes cap.
+    bound, powers = 0, {}  # size^k: size, for each cube size class walked
+    if spec.sample_count:  # the grid is built only to sample from
+        grid_points = cap + 1 if power_exceeds(spec.grid_bound, k, cap) else spec.grid_bound**k
+        bound = grid_points + spec.sample_count * min(spec.max_domain_size, grid_points)
+    for size in range(2, spec.grid_bound + 1 if spec.include_all_cubes else 2):
+        if bound > cap or power_exceeds(size, k, spec.max_domain_size):
+            break
+        power = size**k
+        powers[power] = size
+        if p is None:
+            bound += math.comb(spec.grid_bound, size) * power
+        elif not small(power):
+            bound += power
+    if bound > cap:
+        raise CapacityError(f"universe capped at {cap} points")
+    for power, size in powers.items():
         if small(power):
             yield math.comb(spec.grid_bound, size)
             continue
@@ -258,10 +241,6 @@ class WitnessResult:
     cube: Cube
     report: dict
     search_stats: SearchStats
-
-    def __post_init__(self) -> None:
-        if not self.report["overall"]:
-            raise ValueError("witness requires an overall-regular report")
 
     @property
     def function_id(self) -> str:

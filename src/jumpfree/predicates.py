@@ -175,10 +175,6 @@ class JumpFreeWitness(JsonRecord):
     value_a: int
     value_b: int
 
-    def __post_init__(self) -> None:
-        if not self.value_a < self.value_b:
-            raise ValueError("witness requires value_a < value_b")
-
 
 def jump_free_violation(fa: FiniteFunction, fb: FiniteFunction) -> Optional[JumpFreeWitness]:
     """First violation of the directional jump-free implication, or None.
@@ -230,8 +226,6 @@ def is_jump_free_family(fam: Family) -> Optional[JumpFreeWitness]:
         for level, x, v in sorted((max(x), x, v) for x, v in fa.entries.items()):
             if level > top:
                 below, top = agree, level
-                if not below:
-                    break
             hits |= below & greater[x][v]
             agree &= eq[x][v]
         if hits:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import jumpfree.cli
 import jumpfree.predicates
-from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, build_parser, main
+from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, _parsers, main
 from jumpfree.families import FAMILY_KINDS, build_universe, iter_family, iter_universe
 from jumpfree.predicates import FiniteFunction
 from oracles import literal_load_function, render_json as stdlib_render
@@ -309,6 +309,22 @@ def test_usage_errors_exit_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--k", "0"], "--k must be >= 1"),
+        (["search", "--k", "0"], "--k must be >= 1"),
+        (["solve"], "solve requires --input with a [[value, multiplicity], ...] document"),
+    ],
+    ids=["gen-k0", "search-k0", "solve-no-input"],
+)
+def test_refusal_before_any_work_exits_1_with_one_error_line(capsys, argv, message):
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"jumpfree: error: {message}\n"
+
+
 def test_bad_flag_value_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--method", "bogus"])
@@ -386,7 +402,6 @@ def test_help_lists_exactly_the_command_flags(capsys, command, flags):
     assert exc.value.code == EXIT_OK
     listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
     assert listed == flags | {"--format", "--help"}
-    assert build_parser() is build_parser()
 
 
 def _parse_outcome(parse, argv):
@@ -416,7 +431,7 @@ def _config_main_runs(argv):
 
 
 def _config_top_level_parses(argv):
-    return jumpfree.cli.RunConfig(**vars(build_parser().parse_args(argv)))
+    return jumpfree.cli.RunConfig(**vars(_parsers()[0].parse_args(argv)))
 
 
 _ALL_FLAGS = sorted(_FAMILY_FLAGS | {"--p", "--gamma", "--semantics", "--method", "--format"})
@@ -624,6 +639,21 @@ def test_universe_cap_counts_one_member_per_built_cube_class(capsys):
     assert witness["functionId"] == "max-431889"
     assert witness["cube"]["elements"] == list(range(10))
     assert witness["searchStats"] == {"functionsExamined": 431890, "cubesExamined": 1}
+
+
+def test_lookup_path_counts_the_cubes_below_a_cut_prefix(capsys, tmp_path):
+    # The 16x16 grid valued 0, less (15, 0), is not a full power, so its
+    # cubes are looked up.  Every prefix (0, e) has a violated class, and the
+    # cubes below it are backtracked over and counted, never classified.
+    grid = itertools.product(range(16), repeat=2)
+    entries = [[list(x), 0] for x in grid if x != (15, 0)]
+    path = tmp_path / "zero16_lookup.json"
+    path.write_text(json.dumps({"k": 2, "members": [{"id": "m", "k": 2, "entries": entries}]}))
+    status, doc = run_json(capsys, "search", "--input", str(path), "--p", "8")
+    assert status == EXIT_OK
+    witness = doc["report"]["witness"]
+    assert witness["cube"]["elements"] == list(range(1, 9))
+    assert witness["searchStats"] == {"functionsExamined": 1, "cubesExamined": 3433}
 
 
 def test_universe_without_samples_counts_no_grid_points(capsys):

@@ -208,6 +208,11 @@ def test_iter_cubes_matches_subset_enumeration(k, domain, p):
     assert list(iter_cubes(domain, p)) == literal_cubes_in(domain, p)
 
 
+def test_iter_cubes_refuses_p_below_1():
+    with pytest.raises(ValueError, match="cube size p must be >= 1"):
+        next(iter_cubes({(0, 0)}, 0))
+
+
 def _tried_points(sets, k):
     return sum(len(s) ** k - (len(s) - 1) ** k for s in sets)
 

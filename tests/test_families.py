@@ -510,8 +510,9 @@ class _Point(tuple):
         (((1,),), "max-001: domain point (1,) has arity 1, expected 2"),
         (("ab",), "max-001: domain point 'ab' must be a tuple"),
         ((_Point((0, 1)),), "max-001: domain point (0, 1) must be a tuple"),
+        ((), "universe domains must be nonempty"),
     ],
-    ids=["negative", "bool", "float", "mixed-arity", "short", "string", "tuple-subclass"],
+    ids=["negative", "bool", "float", "mixed-arity", "short", "string", "tuple-subclass", "empty"],
 )
 def test_bad_domain_fails_at_its_member_with_the_constructors_message(bad, message):
     # The bool, float and tuple-subclass points equal points of the first

@@ -58,6 +58,8 @@ def test_bijection_rejects_negative_input():
         ZBijection("zigzag").apply(-1)
     with pytest.raises(ValueError):
         ZBijection("bogus")
+    with pytest.raises(ValueError, match="^zigzag takes no offset$"):
+        ZBijection("zigzag", 5)
 
 
 def test_bijection_spec_round_trip():

@@ -267,6 +267,11 @@ def test_jump_free_violation_pinned_pair():
     assert jump_free_violation(ff("a", {(1, 2): 2}), fb) is None
 
 
+def test_jump_free_violation_refuses_functions_of_two_arities():
+    with pytest.raises(ValueError, match=r"^arity mismatch: a has k=2, b has k=3$"):
+        jump_free_violation(ff("a", {(1, 2): 1}), ff("b", {(1, 2, 3): 2}, k=3))
+
+
 def test_jump_free_violation_requires_contained_predecessors():
     # fa has an extra predecessor below x, so the containment hypothesis
     # fails and the value drop is not a violation.

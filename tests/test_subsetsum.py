@@ -28,12 +28,6 @@ def test_certificate_validation():
     assert is_valid_certificate(cert, IntMultiset.from_values([3, -1, -2]))
     # Insufficient multiplicity in the source multiset.
     assert not is_valid_certificate(cert, IntMultiset.from_values([3, -1]))
-    with pytest.raises(ValueError):
-        SubsetCertificate(chosen=(), sum=0)
-    with pytest.raises(ValueError):
-        SubsetCertificate(chosen=((3, 0),), sum=0)
-    with pytest.raises(ValueError):
-        SubsetCertificate(chosen=((3, 1),), sum=0)
 
 
 def test_certificate_json():
