@@ -14,7 +14,12 @@ searches, and generation and jump-free checks over a sampled universe,
 all past the pinned pools' sizes.  Each records the median of 3 wall
 times, the exit code and the sha256 of stdout with the solve timings
 zeroed, so a digest that moves between two BENCH files marks a changed
-output.  Exits 1 without writing when any run fails.
+output.  A `startup` block records the median wall time of STARTUP_RUNS
+fresh interpreters for each of STARTUP_CASES, with src/ on PYTHONPATH, and
+whether PYTHONDONTWRITEBYTECODE was set (then every run compiles src/).
+perfbench re-imports only the program's own modules, so only this block
+shows start-up costs paid once per process, such as stdlib imports.
+Exits 1 without writing when any run fails.
 """
 
 import argparse
@@ -82,6 +87,13 @@ SEARCH_CASES = {
     ),
 }
 
+STARTUP_RUNS = 11
+STARTUP_CASES = {
+    "python_pass": ["-c", "pass"],
+    "import_cli": ["-c", "import jumpfree.cli"],
+    "experiment_grid4": ["-m", "jumpfree", "experiment", "--grid", "4"],
+}
+
 
 def git(*args: str) -> str:
     return subprocess.run(
@@ -140,6 +152,20 @@ def run_search_cases() -> dict:
     return block
 
 
+def run_startup_cases() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    block = {"dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+    for case, argv in STARTUP_CASES.items():
+        times = []
+        for _ in range(STARTUP_RUNS):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *argv], env=env, check=True, capture_output=True)
+            times.append((time.perf_counter() - start) * 1000)
+        block[case] = {"argv": argv, "runs": STARTUP_RUNS, "median_ms": statistics.median(times)}
+        print(f"startup {case}: {block[case]['median_ms']:.1f} ms", file=sys.stderr)
+    return block
+
+
 def main() -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -171,6 +197,7 @@ def main() -> int:
         "seeds": list(SEEDS),
         "workloads": workloads,
         "search": run_search_cases(),
+        "startup": run_startup_cases(),
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")

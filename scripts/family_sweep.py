@@ -11,7 +11,6 @@ Usage: python scripts/family_sweep.py [--seeds 10] [--p 2] [--grid 4] ...
 """
 
 import argparse
-from dataclasses import replace
 
 from jumpfree import (
     FAMILY_KINDS,
@@ -34,7 +33,7 @@ def sweep(base: UniverseSpec, seeds: int, p: int) -> None:
     violations = {kind: 0 for kind in FAMILY_KINDS}
     for kind in FAMILY_KINDS:
         for seed in range(seeds):
-            universe = build_universe(replace(base, seed=seed))
+            universe = build_universe(base._replace(seed=seed))
             fam = gen_family(kind, universe)
             bad = is_jump_free_family(fam)
             violations[kind] += bad is not None

@@ -18,7 +18,6 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import CapacityError, Cube, JsonRecord, json_items, render_json
@@ -62,8 +61,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunConfig(JsonRecord):
+class RunConfig(NamedTuple):
     """The fully resolved knobs of one run; sufficient for exact replay.
     The universe fields take UniverseSpec's names."""
 
@@ -81,9 +79,10 @@ class RunConfig(JsonRecord):
     method: str = "dp"
     format: str = "json"
     input: Optional[str] = None
+    to_json_dict = JsonRecord.to_json_dict
 
     def universe_spec(self) -> UniverseSpec:
-        return UniverseSpec(**{f.name: getattr(self, f.name) for f in fields(UniverseSpec)})
+        return UniverseSpec(**{name: getattr(self, name) for name in UniverseSpec._fields})
 
 
 @contextlib.contextmanager
@@ -345,6 +344,17 @@ COMMANDS = {
 
 
 @functools.cache
+def _command_parser(name: str, make: Callable = _Parser) -> argparse.ArgumentParser:
+    """Command name's parser, built once per process by make with the prog and
+    settings sub.add_parser gives it, then --format and the flags it reads."""
+    cmd = make(prog="jumpfree " + name, argument_default=argparse.SUPPRESS)
+    for flag, settings in _FLAGS.items():
+        if flag == "format" or flag in COMMANDS[name].flags:
+            cmd.add_argument("--" + flag.replace("_", "-"), **settings)
+    return cmd
+
+
+@functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each command's subparser by name, built
     once per process; parse_args keeps no state."""
@@ -353,31 +363,24 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         description="Generate, check, search, and run the full solvability experiment.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    commands = {}
     for name, command in COMMANDS.items():
-        cmd = commands[name] = sub.add_parser(
-            name, help=command.help, argument_default=argparse.SUPPRESS
-        )
-        for flag, settings in _FLAGS.items():
-            if flag == "format" or flag in command.flags:
-                cmd.add_argument("--" + flag.replace("_", "-"), **settings)
-    return parser, commands
+        _command_parser(name, functools.partial(sub.add_parser, name, help=command.help))
+    return parser, sub.choices
 
 
 def _parse_args(argv: list[str]) -> dict:
     """RunConfig's keyword arguments for argv, as the top-level parser's
-    parse_args gives them.  After a command name, it only hands the rest to
-    the command's subparser and refuses what is left over, so both are
-    done here directly; any other argv but "--" and more goes to it."""
-    parser, commands = _parsers()
+    parse_args gives them.  After a command name, that parser only hands the
+    rest to the command's and refuses leftovers, so the command's parser alone
+    parses it here; the top-level one is built only for a refusal or other argv."""
     if argv[:1] == ["--"] and argv[1:]:  # refused as argparse 3.10-3.13.0 do; later ones drop it
-        choices = ", ".join(map(repr, commands))
-        parser.error(f"argument command: invalid choice: '--' (choose from {choices})")
-    if not argv or argv[0] not in commands:
-        return vars(parser.parse_args(argv))
-    flags, extras = commands[argv[0]].parse_known_args(argv[1:])
+        choices = ", ".join(map(repr, COMMANDS))
+        _parsers()[0].error(f"argument command: invalid choice: '--' (choose from {choices})")
+    if not argv or argv[0] not in COMMANDS:
+        return vars(_parsers()[0].parse_args(argv))
+    flags, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
     if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+        _parsers()[0].error("unrecognized arguments: " + " ".join(extras))
     return {"command": argv[0], **vars(flags)}
 
 

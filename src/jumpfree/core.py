@@ -14,9 +14,8 @@ import itertools
 import math
 import operator
 from collections.abc import Set
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 KTuple = tuple[int, ...]
 
@@ -41,11 +40,11 @@ def json_items(v: object, length: Optional[int] = None) -> tuple:
 
 @functools.cache
 def _json_keys(cls: type) -> tuple[tuple[str, str], ...]:
-    """(field name, JSON key) of each field of a dataclass, in field order."""
+    """(field name, JSON key) of each field a record's class lists in _fields."""
     keys = []
-    for f in fields(cls):
-        head, *words = f.name.split("_")
-        keys.append((f.name, head + "".join(w.capitalize() for w in words)))
+    for name in cls._fields:
+        head, *words = name.split("_")
+        keys.append((name, head + "".join(w.capitalize() for w in words)))
     return tuple(keys)
 
 
@@ -54,11 +53,30 @@ def _json_value(v: object) -> object:
 
 
 class JsonRecord:
-    """Mixin for a dataclass whose JSON object follows one rule: each
-    snake_case field name becomes a camelCase key, and tuples become lists."""
+    """Mixin for a record whose JSON object follows one rule: each snake_case
+    field in _fields becomes a camelCase key, a tuple a list.  NamedTuples borrow to_json_dict."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {key: _json_value(getattr(self, name)) for name, key in _json_keys(type(self))}
+
+
+class Record:
+    """Base of a mutable record, whose class names its fields in _fields:
+    equal to a record of its own class with equal fields, unhashable, and
+    shown as Name(field=value, ...)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def render_json(value: object, margin: str = "\n") -> str:
@@ -136,23 +154,22 @@ def power_exceeds(p: int, k: int, size: int) -> bool:
     return k >= size.bit_length() or p**k > size
 
 
-@dataclass(frozen=True)
-class Cube(JsonRecord):
+class Cube(NamedTuple("Cube", [("elements", KTuple), ("k", int)]), JsonRecord):
     """A strictly increasing element set E plus the arity k of its power E^k."""
 
-    elements: tuple[int, ...]
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if not self.elements:
+    def __new__(cls, elements: Iterable[int], k: int) -> "Cube":
+        elements = tuple(elements)
+        if not elements:
             raise ValueError("cube needs at least one element")
-        if not all(map(is_nat, self.elements)):
+        if not all(map(is_nat, elements)):
             raise ValueError("cube elements must be nonnegative integers")
-        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
-            raise ValueError(f"cube elements must be strictly increasing, got {self.elements}")
-        if not is_nat(self.k) or self.k < 1:
-            raise ValueError(f"cube arity must be an integer >= 1, got {self.k!r}")
+        if any(a >= b for a, b in zip(elements, elements[1:])):
+            raise ValueError(f"cube elements must be strictly increasing, got {elements}")
+        if not is_nat(k) or k < 1:
+            raise ValueError(f"cube arity must be an integer >= 1, got {k!r}")
+        return super().__new__(cls, elements, k)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Cube":

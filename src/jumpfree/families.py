@@ -18,8 +18,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .core import CapacityError, Cube, JsonRecord, KTuple, iter_cubes, power_exceeds
 from .predicates import Family, FiniteFunction, iter_class_verdicts
@@ -29,8 +28,13 @@ Domain = tuple[KTuple, ...]
 UNIVERSE_MAX_POINTS = 10**7
 
 
-@dataclass(frozen=True)
-class UniverseSpec(JsonRecord):
+class UniverseSpec(
+    NamedTuple("UniverseSpec", [
+        ("k", int), ("grid_bound", int), ("max_domain_size", int),
+        ("sample_count", int), ("seed", int), ("include_all_cubes", bool),
+    ]),
+    JsonRecord,
+):
     """Reproducible recipe for a finite universe of domains.
 
     Coordinates range over 0..grid_bound-1.  When include_all_cubes is
@@ -40,22 +44,19 @@ class UniverseSpec(JsonRecord):
     randint then sample, made from random.Random(seed).getrandbits alone.
     """
 
-    k: int
-    grid_bound: int
-    max_domain_size: int
-    sample_count: int
-    seed: int
-    include_all_cubes: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __new__(cls, *args, **kwargs) -> "UniverseSpec":
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.k < 1:
             raise ValueError("arity k must be >= 1")
-        if self.grid_bound < 2:
+        if spec.grid_bound < 2:
             raise ValueError("grid_bound must be >= 2")
-        if self.max_domain_size < 1:
+        if spec.max_domain_size < 1:
             raise ValueError("max_domain_size must be >= 1")
-        if self.sample_count < 0:
+        if spec.sample_count < 0:
             raise ValueError("sample_count must be >= 0")
+        return spec
 
 
 def _below(bits: Callable[[int], int], m: int) -> int:
@@ -226,14 +227,13 @@ def gen_family(kind: str, universe: Iterable[Domain]) -> Family:
     return Family(k=members[0].k, members=members)
 
 
-@dataclass(frozen=True)
-class SearchStats(JsonRecord):
+class SearchStats(NamedTuple):
     functions_examined: int
     cubes_examined: int
+    to_json_dict = JsonRecord.to_json_dict
 
 
-@dataclass
-class WitnessResult:
+class WitnessResult(NamedTuple):
     """A member and cube over which the member is regressively regular,
     with the regularity report of the pair."""
 

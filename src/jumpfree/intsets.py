@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .core import Cube, json_items
@@ -33,22 +32,21 @@ def _zigzag(n: int) -> int:
     return -(n // 2) if n % 2 == 0 else (n + 1) // 2
 
 
-@dataclass(frozen=True)
-class ZBijection:
+class ZBijection(NamedTuple("ZBijection", [("kind", str), ("offset", int)])):
     """A parametric bijection from N onto Z.
 
     zigzag interleaves positives and negatives starting at 0; zigzagneg is
     its negation; shifted adds a constant offset to zigzag.
     """
 
-    kind: str
-    offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (ZIGZAG, ZIGZAG_NEG, SHIFTED):
-            raise ValueError(f"unknown bijection kind {self.kind!r}")
-        if self.kind != SHIFTED and self.offset != 0:
-            raise ValueError(f"{self.kind} takes no offset")
+    def __new__(cls, kind: str, offset: int = 0) -> "ZBijection":
+        if kind not in (ZIGZAG, ZIGZAG_NEG, SHIFTED):
+            raise ValueError(f"unknown bijection kind {kind!r}")
+        if kind != SHIFTED and offset != 0:
+            raise ValueError(f"{kind} takes no offset")
+        return super().__new__(cls, kind, offset)
 
     def apply(self, n: int) -> int:
         if n < 0:

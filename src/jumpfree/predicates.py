@@ -12,13 +12,13 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Cube,
     JsonRecord,
     KTuple,
+    Record,
     is_nat,
     json_items,
     order_layout,
@@ -40,8 +40,7 @@ def _entry_template(k: int, margin: str) -> str:
     return "[" + m1 + point + "," + m1 + "%d" + margin + "]"
 
 
-@dataclass
-class FiniteFunction:
+class FiniteFunction(Record):
     """A finite association from points of N^k to values in N.
 
     The domain is the set of entry keys, plain tuples of arity k; it is
@@ -51,32 +50,30 @@ class FiniteFunction:
     counterexamples.  Treat instances as immutable once built.
     """
 
-    id: str
-    k: int
-    entries: dict[KTuple, int]
+    _fields = ("id", "k", "entries")
 
-    def __post_init__(self) -> None:
+    def __init__(self, id: str, k: int, entries: dict[KTuple, int]) -> None:
         # Checks what a caller built or from_json_dict loaded: a bad arity k,
         # then the first entry that is not a plain tuple of k nonnegative ints
         # valued by a nonnegative int.  Members generated from a UniverseSpec
         # are built unchecked by _trusted.
-        if not is_nat(self.k) or self.k < 1:
-            raise ValueError(f"{self.id}: arity k must be an integer >= 1, got {self.k!r}")
-        self.entries = dict(self.entries)
+        if not is_nat(k) or k < 1:
+            raise ValueError(f"{id}: arity k must be an integer >= 1, got {k!r}")
+        self.id, self.k, self.entries = id, k, dict(entries)
         # is_nat written out: a call per number was about half the time of
         # this loop, which every checked and every loaded member runs.
         for t, v in self.entries.items():
             if type(t) is not tuple:
-                raise ValueError(f"{self.id}: domain point {t!r} must be a tuple")
+                raise ValueError(f"{id}: domain point {t!r} must be a tuple")
             if not t:
                 raise ValueError("a point needs arity k >= 1")
             for c in t:
                 if type(c) is not int or c < 0:
                     raise ValueError(f"coordinates must be nonnegative integers, got {c!r}")
-            if len(t) != self.k:
-                raise ValueError(f"{self.id}: domain point {t} has arity {len(t)}, expected {self.k}")
+            if len(t) != k:
+                raise ValueError(f"{id}: domain point {t} has arity {len(t)}, expected {k}")
             if type(v) is not int or v < 0:
-                raise ValueError(f"{self.id}: value at {t} must be a nonnegative integer, got {v!r}")
+                raise ValueError(f"{id}: value at {t} must be a nonnegative integer, got {v!r}")
 
     @classmethod
     def _trusted(cls, id: str, k: int, entries: dict[KTuple, int]) -> "FiniteFunction":
@@ -120,23 +117,21 @@ class FiniteFunction:
         return cls(data["id"], data["k"], entries)
 
 
-@dataclass
-class Family:
+class Family(Record):
     """An ordered collection of finite functions sharing one arity."""
 
-    k: int
-    members: tuple[FiniteFunction, ...]
+    _fields = ("k", "members")
 
-    def __post_init__(self) -> None:
-        if not is_nat(self.k) or self.k < 1:
-            raise ValueError(f"family arity k must be an integer >= 1, got {self.k!r}")
-        self.members = tuple(self.members)
+    def __init__(self, k: int, members: tuple[FiniteFunction, ...]) -> None:
+        if not is_nat(k) or k < 1:
+            raise ValueError(f"family arity k must be an integer >= 1, got {k!r}")
+        self.k, self.members = k, tuple(members)
         ids = [m.id for m in self.members]
         if len(set(ids)) != len(ids):
             raise ValueError("family member ids must be unique")
         for m in self.members:
-            if m.k != self.k:
-                raise ValueError(f"member {m.id} has arity {m.k}, family expects {self.k}")
+            if m.k != k:
+                raise ValueError(f"member {m.id} has arity {m.k}, family expects {k}")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -160,8 +155,7 @@ class Family:
         return cls(k=data["k"], members=members)
 
 
-@dataclass(frozen=True)
-class JumpFreeWitness(JsonRecord):
+class JumpFreeWitness(NamedTuple):
     """A concrete refutation of the jump-free implication.
 
     At point x both functions are defined, the first one's predecessor set
@@ -174,6 +168,7 @@ class JumpFreeWitness(JsonRecord):
     x: KTuple
     value_a: int
     value_b: int
+    to_json_dict = JsonRecord.to_json_dict
 
 
 def jump_free_violation(fa: FiniteFunction, fb: FiniteFunction) -> Optional[JumpFreeWitness]:

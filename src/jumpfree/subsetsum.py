@@ -16,8 +16,7 @@ import bisect
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import CapacityError, JsonRecord
 from .families import Family, find_regressively_regular_witness
@@ -33,12 +32,12 @@ OUTCOME_OK = "ok"
 OUTCOME_NO_WITNESS = "no_witness"
 
 
-@dataclass(frozen=True)
-class SubsetCertificate(JsonRecord):
+class SubsetCertificate(NamedTuple):
     """A sub-multiset, as sorted (value, multiplicity-taken) pairs, and its sum."""
 
     chosen: tuple[tuple[int, int], ...]
     sum: int
+    to_json_dict = JsonRecord.to_json_dict
 
 
 def _certificate(counts: Counter) -> SubsetCertificate:
