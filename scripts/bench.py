@@ -118,16 +118,21 @@ def run_once(workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def write_search_docs(directory) -> None:
+    """Write each document of SEARCH_DOCS into directory, under its name."""
+    for name, (n, value, left_out) in SEARCH_DOCS.items():
+        points = [(a, b) for a in range(n) for b in range(n) if (a, b) not in left_out]
+        member = {"id": "m", "k": 2, "entries": [[list(x), value(x)] for x in points]}
+        Path(directory, name).write_text(json.dumps({"k": 2, "members": [member]}))
+
+
 def run_search_cases() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     from jumpfree import cli
 
     block, cwd = {}, os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (n, value, left_out) in SEARCH_DOCS.items():
-            points = [(a, b) for a in range(n) for b in range(n) if (a, b) not in left_out]
-            member = {"id": "m", "k": 2, "entries": [[list(x), value(x)] for x in points]}
-            Path(tmp, name).write_text(json.dumps({"k": 2, "members": [member]}))
+        write_search_docs(tmp)
         os.chdir(tmp)  # the documents are named relative to it, as the output echoes them
         try:
             for case, argv in SEARCH_CASES.items():

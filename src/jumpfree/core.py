@@ -192,14 +192,14 @@ def iter_cubes(
     field, which holds every set.  charge, when given, is called with the
     points counted, not looked up, for the element sets S tried:
     |S|^k - (|S|-1)^k each, the points of S^k that hold S's last element,
-    charged before each extension and at the end.
+    charged as they are tried.
 
-    cut, when given, is called with each prefix of 2 to p - 1 elements that
-    may begin more than one cube, when the consumer asks for the cube after
-    the first one below it; if it answers true, the int n stands for the n
-    cubes left below it.  On a full power these and the sets tried below the
-    prefix are binomials, charged in one sum; otherwise they are still
-    backtracked over and charged.
+    cut, when given, is called with each prefix of 2 to p - 1 elements, when
+    the consumer asks for the cube after the first one below it; if it
+    answers true, the int n stands for the n cubes left below it, which may
+    be 0.  On a full power these and the sets tried below the prefix are
+    binomials, charged in one sum; otherwise they are still backtracked over
+    and charged.
     """
     if p < 1:
         raise ValueError("cube size p must be >= 1")
@@ -218,12 +218,12 @@ def iter_cubes(
     cost = [(m + 1) ** k - m**k for m in range(p)]
     # checked: the prefix sizes of the path asked about; skip: the size of the
     # cut prefix on it, if any, with skipped the cubes found below it.
-    chosen, part, pos, owed, checked, skip, skipped = [], (), 0, 0, 0, 0, 0
+    chosen, part, pos, checked, skip, skipped = [], (), 0, 0, 0, 0
     while True:
         hi = n - p + (m := len(chosen))
         if (j := on.find(49, pos, hi + 1)) < 0:  # no candidate left at depth m
             j = hi + 1
-        owed += (j - pos + (j <= hi)) * cost[m]  # the sets skipped, then j's
+        charge((j - pos + (j <= hi)) * cost[m])  # the sets skipped, then j's
         if j > hi:  # every set left at depth m was tried
             if not chosen:
                 break
@@ -237,8 +237,6 @@ def iter_cubes(
         new = (itertools.product(*[part] * i, e, *[cand] * (k - 1 - i)) for i in range(k))
         if not full and not all(map(check, itertools.chain.from_iterable(new))):
             continue
-        charge(owed)
-        owed = 0
         if m + 1 < p:
             chosen.append(j)
             part = cand
@@ -246,11 +244,9 @@ def iter_cubes(
             skipped += 1
         else:
             yield cand
-            # The shortest cut prefix past those asked about, of those that may
-            # begin more than one cube: C(n - 1 - j, p - m) for m elements, last j.
+            # The shortest cut prefix past those asked about.
             new_sizes = range(max(checked, 1) + 1, p)
-            may = [m for m in new_sizes if math.comb(n - 1 - chosen[m - 1], p - m) > 1]
-            skip, checked = next((m for m in may if cut and cut(cand[:m])), 0), p - 1
+            skip, checked = next((m for m in new_sizes if cut and cut(cand[:m])), 0), p - 1
             if skip and full:  # below the cut prefix, C(n - p + t - 1 - i, t - skip) sets of size t
                 i, sizes = chosen[skip - 1], range(skip + 1, p + 1)
                 below = sum(math.comb(n - p + t - 1 - i, t - skip) * cost[t - 1] for t in sizes)
@@ -258,7 +254,6 @@ def iter_cubes(
                 yield math.comb(n - 1 - i, p - skip) - 1
                 pos, part, checked, chosen[skip - 1 :] = i + 1, part[: skip - 1], skip - 1, []
                 skip = 0
-    charge(owed)
 
 
 def cubes_in(domain: Iterable[KTuple], p: int) -> list[Cube]:

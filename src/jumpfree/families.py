@@ -156,18 +156,17 @@ def _rule_min(dom: Domain) -> dict[KTuple, int]:
 def _rule_predmin(dom: Domain) -> dict[KTuple, int]:
     # Minimum coordinate seen among x and all points below x's maximum.  A
     # held (least, ..., least) is below every other level, so all take least.
-    # Else above top, the lowest level holding least, every point takes it;
-    # the floors below run up the levels from top, which no min(x) there exceeds.
+    # Else one floor runs up the levels: floors[h] is the least min(y) of the
+    # points y below level h, and each point takes it or its own min(x).
     least = min(itertools.chain.from_iterable(dom))
     if (least,) * len(dom[0]) in dom:
         return dict.fromkeys(dom, least)
     highs, lows = list(map(max, dom)), list(map(min, dom))
-    top = min(itertools.compress(highs, map(least.__eq__, lows)))
-    floors, floor = {}, top
-    for high, low in sorted(itertools.compress(zip(highs, lows), map(top.__ge__, highs))):
+    floors, floor = {}, math.inf
+    for high, low in sorted(zip(highs, lows)):
         floors.setdefault(high, floor)
         floor = min(floor, low)
-    return {x: least if h > top else min(floors[h], low) for x, h, low in zip(dom, highs, lows)}
+    return {x: min(floors[h], low) for x, h, low in zip(dom, highs, lows)}
 
 
 def _rule_constmin(dom: Domain) -> dict[KTuple, int]:

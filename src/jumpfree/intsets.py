@@ -51,11 +51,9 @@ class ZBijection(NamedTuple("ZBijection", [("kind", str), ("offset", int)])):
     def apply(self, n: int) -> int:
         if n < 0:
             raise ValueError("bijection domain is the nonnegative integers")
-        if self.kind == ZIGZAG:
-            return _zigzag(n)
         if self.kind == ZIGZAG_NEG:
             return -_zigzag(n)
-        return _zigzag(n) + self.offset
+        return _zigzag(n) + self.offset  # zigzag's offset is 0
 
     def spec(self) -> str:
         return f"{SHIFTED}:{self.offset}" if self.kind == SHIFTED else self.kind

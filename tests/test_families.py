@@ -438,6 +438,8 @@ def test_gen_family_over_hand_made_domains_matches_normalising_oracle(kind, univ
 @example("predmin", [((3, 3), (0, 4), (1, 1), (4, 0), (3, 3), (2, 2))])
 @example("predmin", [tuple(itertools.product((1, 3, 4), repeat=2))])
 @example("predmin", [((3, 4), (1, 3), (4, 1), (3, 4), (2, 2), (1, 1))])
+# No (least, least), and (3, 3) above level 2, the lowest holding 0: 1, 0, 0, 0.
+@example("predmin", [((1, 1), (0, 2), (2, 0), (3, 3))])
 def test_rules_give_the_literal_entries_in_domain_order(kind, universe):
     for dom in universe:
         got = gen_family(kind, [dom]).members[0].entries
@@ -488,6 +490,7 @@ def _outcome(make):
 @given(st.integers(1, 3).flatmap(_signed_domains))
 @example(((-1, -1), (2, 0), (-1, 3), (-1, -1)))
 @example(((0, 0), (3, 1), (1, 0)))
+@example(((1, 1), (0, 2), (2, 0), (3, 3)))  # entries 1, 0, 0, 0
 def test_predmin_gives_the_floor_walk_entries_or_the_same_refusal(dom):
     want = _outcome(lambda: FiniteFunction("predmin-000", len(dom[0]), floor_walk_predmin(dom)))
     assert _outcome(lambda: gen_family("predmin", [dom]).members[0]) == want
@@ -543,6 +546,18 @@ _NO_WITNESS = _member(
 _NO_WITNESS_K3 = _member(
     "no-witness-k3", list(itertools.product(range(5), repeat=3)), lambda x: max(min(x) - 1, 0)
 )
+# The same rule on the 4x4 grid, a full power, and on the grid less (3, 0),
+# a lookup domain.  The violated prefix (1, 2), and on the full power also
+# (0, 2), begins exactly one cube, its only completion by 3, so it is cut
+# after that cube with 0 cubes left below it.
+_NO_WITNESS_4 = _member(
+    "no-witness-4", list(itertools.product(range(4), repeat=2)), lambda x: max(min(x) - 1, 0)
+)
+_NO_WITNESS_4_LOOKUP = _member(
+    "no-witness-4-lookup",
+    [x for x in itertools.product(range(4), repeat=2) if x != (3, 0)],
+    lambda x: max(min(x) - 1, 0),
+)
 
 
 @pytest.mark.parametrize(
@@ -568,9 +583,8 @@ def test_search_budget_raises_at_one_point_short_of_its_work(monkeypatch, member
 def test_search_budget_is_charged_before_the_work(monkeypatch):
     # One cube short of the budget for classifying all 20 cubes of the
     # no-witness grid: the last cube is refused before it is classified.
-    # A prefix that begins more than one cube is checked after the first of
-    # them, and if it has a violated class, the rest are charged but never
-    # classified.
+    # A prefix is checked after the first cube below it, and if it has a
+    # violated class, the rest are charged but never classified.
     classified = []
 
     def counting_verdicts(f, cube):
@@ -631,6 +645,9 @@ def _search_outcome(search, members, p, k, budget):
 @example(([_NO_WITNESS], 3, 2, literal_search_work([_NO_WITNESS], 3) - 9))
 @example(([_NO_WITNESS_K3], 3, 3, 10**7))
 @example(([_MULTIPARTITE, _NO_WITNESS], 4, 2, 10**7))
+@example(([_NO_WITNESS_4], 3, 2, 10**7))
+@example(([_NO_WITNESS_4_LOOKUP], 3, 2, 10**7))
+@example(([_NO_WITNESS_4_LOOKUP], 3, 2, literal_search_work([_NO_WITNESS_4_LOOKUP], 3) - 1))
 def test_pruned_search_matches_the_unpruned_search(case):
     members, p, k, budget = case
     want = _search_outcome(unpruned_search, members, p, k, budget)

@@ -39,3 +39,11 @@ def test_readme_library_example_runs():
     library = readme[readme.index("\n## Library\n") :]
     block = library.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_ab_of_a_checkout_against_itself_finds_no_difference():
+    root = str(SCRIPTS.parent)
+    lines = run_script("ab.py", "solve", root, root, "--rounds", "1")
+    assert lines[0].startswith("round 1: 168 ops, parent ")
+    assert lines[-1].startswith("solve: median change/parent ")
+    assert lines[-1].endswith(" over 1 rounds; 0 failed checks, 0 differing outputs")
