@@ -11,10 +11,14 @@ counts, plus the Python version, os.cpu_count() and `git rev-parse HEAD`
 (with whether the working tree differed from it).  A `search` block
 times each of SEARCH_CASES through cli.main in this process: witness
 searches, and generation and jump-free checks over a sampled universe,
-all past the pinned pools' sizes.  Each records the median of 3 wall
-times, the exit code and the sha256 of stdout with the solve timings
-zeroed, so a digest that moves between two BENCH files marks a changed
-output.  A `startup` block records the median wall time of STARTUP_RUNS
+all past the pinned pools' sizes.  Each records its SEARCH_REPEATS wall
+times (`times_ms`) and their median, the exit code and the sha256 of
+stdout with the solve timings zeroed, so a digest that moves between two
+BENCH files marks a changed output.  A median moves by 20-30 % between
+runs of unchanged code on a shared host, so a move inside that range
+between two BENCH files means nothing; `scripts/ab.py search PARENT
+CHANGE` runs both checkouts side by side and is the before/after tool.
+A `startup` block records the median wall time of STARTUP_RUNS
 fresh interpreters for each of STARTUP_CASES, with src/ on PYTHONPATH, and
 whether PYTHONDONTWRITEBYTECODE was set (then every run compiles src/).
 perfbench re-imports only the program's own modules, so only this block
@@ -87,6 +91,7 @@ SEARCH_CASES = {
     ),
 }
 
+SEARCH_REPEATS = 5
 STARTUP_RUNS = 11
 STARTUP_CASES = {
     "python_pass": ["-c", "pass"],
@@ -137,7 +142,7 @@ def run_search_cases() -> dict:
         try:
             for case, argv in SEARCH_CASES.items():
                 times = []
-                for _ in range(3):
+                for _ in range(SEARCH_REPEATS):
                     out, err = io.StringIO(), io.StringIO()
                     start = time.perf_counter()
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -147,6 +152,7 @@ def run_search_cases() -> dict:
                 block[case] = {
                     "argv": argv,
                     "median_ms": statistics.median(times),
+                    "times_ms": times,
                     "exit": status,
                     "stdout_sha256": hashlib.sha256(text.encode()).hexdigest(),
                 }

@@ -59,13 +59,6 @@ class UniverseSpec(
         return spec
 
 
-def _below(bits: Callable[[int], int], m: int) -> int:
-    """random.Random._randbelow_with_getrandbits(m), drawn from bits."""
-    while (r := bits(m.bit_length())) >= m:
-        pass
-    return r
-
-
 class _Images(int):
     """n members, each an order-preserving image of the member just before."""
 
@@ -121,18 +114,29 @@ def iter_universe(spec: UniverseSpec, p: Optional[int] = None) -> Iterator[Domai
     if spec.sample_count:  # draws index the grid in product's lexicographic order
         grid = list(itertools.product(range(spec.grid_bound), repeat=k))
         bits, n = random.Random(spec.seed).getrandbits, len(grid)
+        widths = [i.bit_length() for i in range(1, n + 1)]  # widths[i]: bits drawn below i + 1
+        m, indices = min(spec.max_domain_size, n), list(range(n))
+        m_bits, n_bits = widths[m - 1], widths[n - 1]
+        # sample's choice, once per size drawn: a pool if n points take no more room than a set
+        pools = functools.cache(
+            lambda s: n <= 21 + (4 ** math.ceil(math.log(3 * s, 4)) if s > 5 else 0))
+        # Each while that calls bits is random.Random._randbelow_with_getrandbits.
         for _ in range(spec.sample_count):
-            size = 1 + _below(bits, min(spec.max_domain_size, n))
-            if n <= 21 + (4 ** math.ceil(math.log(3 * size, 4)) if size > 5 else 0):
-                pool = list(range(n))  # sample's shrinking pool: picks collect at its end
+            while (size := bits(m_bits) + 1) > m:  # randint(1, m)
+                pass
+            if pools(size):
+                pool = indices.copy()  # sample's shrinking pool: picks collect at its end
                 for i in range(n - 1, n - 1 - size, -1):
-                    j = _below(bits, i + 1)
+                    while (j := bits(widths[i])) > i:
+                        pass
                     pool[i], pool[j] = pool[j], pool[i]
                 picks = pool[n - size :]
             else:  # sample's set of all n indices, repeats redrawn
                 picks = set()
                 while len(picks) < size:
-                    picks.add(_below(bits, n))
+                    while (j := bits(n_bits)) >= n:
+                        pass
+                    picks.add(j)
             picks = tuple(sorted(picks))
             dom = tuple(map(grid.__getitem__, picks))
             if not (size in powers and len(set().union(*dom)) ** k == size) and picks not in seen:
@@ -170,7 +174,7 @@ def _rule_predmin(dom: Domain) -> dict[KTuple, int]:
 
 
 def _rule_constmin(dom: Domain) -> dict[KTuple, int]:
-    return dict.fromkeys(dom, min(map(min, dom)))
+    return dict.fromkeys(dom, min(itertools.chain.from_iterable(dom)))
 
 
 # Each rule maps a domain to its entries, whatever the order of its points,

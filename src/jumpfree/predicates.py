@@ -193,9 +193,10 @@ def is_jump_free_family(fam: Family) -> Optional[JumpFreeWitness]:
     """Decide every ordered member pair, self-pairs included.
 
     Returns the canonically first witness (pair order, then lexicographic
-    point), or None.  Member sets are big-int masks, bit j for member j:
-    eq[x][v] holds the members valuing x at v, greater[x][v] those valuing
-    x above v.  Walking fa's points up the levels (max(x)), below holds the
+    point), or None.  Member sets are big-int masks, one bit 1 << j made per
+    member j: eq[x][v] holds the members valuing x at v, greater[x][v] those
+    valuing x above v.  The level table, level[x] = max(x), is taken once per
+    distinct point x, by value.  Walking fa's points up the levels, below holds the
     members equal to fa on every lower level, so below & greater[x][fa(x)]
     is exactly the set of b that first disagree with fa on x's level, with
     fa lower at x: those with jump_free_violation(fa, b) non-null.  The
@@ -204,9 +205,13 @@ def is_jump_free_family(fam: Family) -> Optional[JumpFreeWitness]:
     """
     eq: dict[KTuple, dict[int, int]] = {}
     for j, f in enumerate(fam.members):
+        bit = 1 << j
         for x, v in f.entries.items():
-            held = eq.setdefault(x, {})
-            held[v] = held.get(v, 0) | 1 << j
+            if (held := eq.get(x)) is None:
+                eq[x] = {v: bit}
+            else:
+                held[v] = held.get(v, 0) | bit
+    level = {x: max(x) for x in eq}
     greater: dict[KTuple, dict[int, int]] = {}
     for x, held in eq.items():
         above, greater[x] = 0, {}
@@ -218,9 +223,9 @@ def is_jump_free_family(fam: Family) -> Optional[JumpFreeWitness]:
         if not any(greater[x][v] for x, v in fa.entries.items()):
             continue
         hits, agree, below, top = 0, (1 << len(fam)) - 1, 0, -1
-        for level, x, v in sorted((max(x), x, v) for x, v in fa.entries.items()):
-            if level > top:
-                below, top = agree, level
+        for level_x, x, v in sorted((level[x], x, v) for x, v in fa.entries.items()):
+            if level_x > top:
+                below, top = agree, level_x
             hits |= below & greater[x][v]
             agree &= eq[x][v]
         if hits:

@@ -160,6 +160,9 @@ def _grid_shapes(k):
 # a set of the size drawn: n <= 21 for sizes up to 5, 85 for 6 to 21 and
 # 277 for 22 to 85.  A k = 1 grid has n points, so the examples meet each
 # step from both sides, with sizes capped at the top of the step's range.
+# The later examples draw sizes on both sides of where one universe's choice
+# flips: sets up to size 5 and pools from 6 on the refute shapes' 25, 36 and
+# 64 points, sets up to 85 and pools from 86 on 300 points.
 @settings(max_examples=150, deadline=None)
 @given(
     shape=st.integers(1, 3).flatmap(_grid_shapes),
@@ -173,6 +176,10 @@ def _grid_shapes(k):
 @example((1, 86), 21, 30, 0)
 @example((1, 277), 85, 30, 0)
 @example((1, 278), 85, 30, 0)
+@example((2, 5), 9, 30, 0)
+@example((2, 6), 16, 30, 0)
+@example((3, 4), 27, 30, 0)
+@example((1, 300), 400, 30, 0)
 def test_sampled_domains_are_random_sample_draws(shape, max_domain_size, sample_count, seed):
     s = UniverseSpec(*shape, max_domain_size, sample_count, seed, include_all_cubes=False)
     assert build_universe(s) == literal_universe(s)

@@ -143,3 +143,21 @@ def wide_families(draw):
 @given(wide_families())
 def test_wide_family_witness_matches_literal_scan(fam):
     assert is_jump_free_family(fam) == literal_is_jump_free_family(fam)
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+@pytest.mark.parametrize(
+    "shape, samples",
+    # Universe shapes (k, grid_bound, max_domain_size) of the refute pool, the
+    # first also audit's; 99-125 members, so member masks span two words.
+    [((2, 5, 9), 100), ((2, 6, 16), 75), ((3, 4, 27), 90)],
+)
+def test_benchmark_shaped_family_witness_matches_literal_scan(kind, shape, samples):
+    fam = gen_family(kind, build_universe(UniverseSpec(*shape, samples, 29, True)))
+    assert len(fam) >= 99
+    witness = literal_is_jump_free_family(fam)
+    assert (witness is None) == (kind != "constmin")
+    assert is_jump_free_family(fam) == witness
+    # Loaded members hold equal points as distinct tuples, keyed by value.
+    loaded = Family.from_json_dict(fam.to_json_dict())
+    assert is_jump_free_family(loaded) == witness
