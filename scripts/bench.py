@@ -10,7 +10,7 @@ the seeds and every run's own values with its attempted and failed op
 counts, plus the Python version, os.cpu_count() and `git rev-parse HEAD`
 (with whether the working tree differed from it).  A `search` block
 times each of SEARCH_CASES through cli.main in this process: witness
-searches, and generation and jump-free checks over a sampled universe,
+searches; generation, jump-free and fullness checks on a sampled universe,
 all past the pinned pools' sizes.  Each records its SEARCH_REPEATS wall
 times (`times_ms`) and their median, the exit code and the sha256 of
 stdout with the solve timings zeroed, so a digest that moves between two
@@ -88,6 +88,10 @@ SEARCH_CASES = {
     ),
     "jumpfree_constmin_6780": (
         "check-jumpfree --family constmin --k 2 --grid 12 --max-domain 64 --samples 3000".split()
+    ),
+    # The same universe, each of its 6,780 domains some member's: full (exit 0).
+    "check_full_6780": (
+        "check-full --family predmin --k 2 --grid 12 --max-domain 64 --samples 3000".split()
     ),
 }
 

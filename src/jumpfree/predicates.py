@@ -40,6 +40,32 @@ def _entry_template(k: int, margin: str) -> str:
     return "[" + m1 + point + "," + m1 + "%d" + margin + "]"
 
 
+def _checked(id: str, k: int, entries: dict[KTuple, int], copy: bool = False) -> dict[KTuple, int]:
+    """entries, copied if copy, once they pass the constructor's checks, which
+    from_json_dict runs in place.  Refused, in this order: a k not an int >= 1,
+    before entries is read; then, entry by entry, a point not a tuple, an empty
+    point, a coordinate not a nonnegative int, a point of another arity, and a
+    value not a nonnegative int."""
+    if not is_nat(k) or k < 1:
+        raise ValueError(f"{id}: arity k must be an integer >= 1, got {k!r}")
+    entries = dict(entries) if copy else entries
+    # is_nat written out: a call per number was about half the time of
+    # this loop, which every checked and every loaded member runs.
+    for t, v in entries.items():
+        if type(t) is not tuple:
+            raise ValueError(f"{id}: domain point {t!r} must be a tuple")
+        if not t:
+            raise ValueError("a point needs arity k >= 1")
+        for c in t:
+            if type(c) is not int or c < 0:
+                raise ValueError(f"coordinates must be nonnegative integers, got {c!r}")
+        if len(t) != k:
+            raise ValueError(f"{id}: domain point {t} has arity {len(t)}, expected {k}")
+        if type(v) is not int or v < 0:
+            raise ValueError(f"{id}: value at {t} must be a nonnegative integer, got {v!r}")
+    return entries
+
+
 class FiniteFunction(Record):
     """A finite association from points of N^k to values in N.
 
@@ -53,27 +79,8 @@ class FiniteFunction(Record):
     _fields = ("id", "k", "entries")
 
     def __init__(self, id: str, k: int, entries: dict[KTuple, int]) -> None:
-        # Checks what a caller built or from_json_dict loaded: a bad arity k,
-        # then the first entry that is not a plain tuple of k nonnegative ints
-        # valued by a nonnegative int.  Members generated from a UniverseSpec
-        # are built unchecked by _trusted.
-        if not is_nat(k) or k < 1:
-            raise ValueError(f"{id}: arity k must be an integer >= 1, got {k!r}")
-        self.id, self.k, self.entries = id, k, dict(entries)
-        # is_nat written out: a call per number was about half the time of
-        # this loop, which every checked and every loaded member runs.
-        for t, v in self.entries.items():
-            if type(t) is not tuple:
-                raise ValueError(f"{id}: domain point {t!r} must be a tuple")
-            if not t:
-                raise ValueError("a point needs arity k >= 1")
-            for c in t:
-                if type(c) is not int or c < 0:
-                    raise ValueError(f"coordinates must be nonnegative integers, got {c!r}")
-            if len(t) != k:
-                raise ValueError(f"{id}: domain point {t} has arity {len(t)}, expected {k}")
-            if type(v) is not int or v < 0:
-                raise ValueError(f"{id}: value at {t} must be a nonnegative integer, got {v!r}")
+        # Checked on its own copy; generated members are built by _trusted.
+        self.id, self.k, self.entries = id, k, _checked(id, k, entries, copy=True)
 
     @classmethod
     def _trusted(cls, id: str, k: int, entries: dict[KTuple, int]) -> "FiniteFunction":
@@ -92,12 +99,16 @@ class FiniteFunction(Record):
             "entries": [[list(t), v] for t, v in sorted(self.entries.items())],
         }
 
-    def render_json(self, margin: str) -> str:
-        """to_json_dict() as core.render_json renders it at margin, with
-        each entry filled into one template per (k, margin)."""
-        inner, at = margin + "  ", margin + "    "
+    def render_json(self, margin: str, texts: Optional[dict] = None) -> str:
+        """to_json_dict() as core.render_json renders it at margin, each entry
+        filled into one template per (k, margin) once: texts maps each (point,
+        value) to its text, one dict shared by a family's members per render."""
+        inner, at, texts = margin + "  ", margin + "    ", {} if texts is None else texts
         entry = _entry_template(self.k, at)
-        entries = ("," + at).join([entry % (*t, v) for t, v in sorted(self.entries.items())])
+        entries = ("," + at).join([
+            texts.get(item) or texts.setdefault(item, entry % (*item[0], item[1]))
+            for item in sorted(self.entries.items())
+        ])
         return "".join((
             "{", inner, '"entries": ', "[" + at + entries + inner + "]" if entries else "[]",
             ",", inner, '"id": ', render_json(self.id),
@@ -106,15 +117,18 @@ class FiniteFunction(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteFunction":
+        """The function a document describes, its entries checked in place with the
+        refusals, in order, of reading them into a dict and then calling __init__."""
         if type(data["id"]) is not str:
             raise ValueError(f"function id must be a string, got {data['id']!r}")
         try:
-            entries = {json_items(t): v for t, v in json_items(data["entries"])}
+            items = json_items(data["entries"])
+            entries = {tuple(t) if type(t) is list else json_items(t): v for t, v in items}
         except ValueError:  # an entry that does not unpack into [point, value]
             raise TypeError("entries must be [point, value] pairs") from None
         if len(entries) < len(data["entries"]):
             raise ValueError(f"{data['id']}: a domain point is listed more than once")
-        return cls(data["id"], data["k"], entries)
+        return cls._trusted(data["id"], data["k"], _checked(data["id"], data["k"], entries))
 
 
 class Family(Record):
@@ -146,8 +160,12 @@ class Family(Record):
         return {"k": self.k, "members": [m.to_json_dict() for m in self.members]}
 
     def render_json(self, margin: str) -> str:
-        """to_json_dict() as core.render_json renders it at margin."""
-        return render_json({"k": self.k, "members": self.members}, margin)
+        """to_json_dict() as core.render_json renders it at margin, the
+        members sharing one dict of entry texts made for this call alone."""
+        inner, at, texts = margin + "  ", margin + "    ", {}
+        members = ("," + at).join([m.render_json(at, texts) for m in self.members])
+        body = f"[{at}{members}{inner}]" if members else "[]"
+        return f'{{{inner}"k": {self.k!r},{inner}"members": {body}{margin}}}'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Family":
@@ -195,12 +213,15 @@ def is_jump_free_family(fam: Family) -> Optional[JumpFreeWitness]:
     Returns the canonically first witness (pair order, then lexicographic
     point), or None.  Member sets are big-int masks, one bit 1 << j made per
     member j: eq[x][v] holds the members valuing x at v, greater[x][v] those
-    valuing x above v.  The level table, level[x] = max(x), is taken once per
-    distinct point x, by value.  Walking fa's points up the levels, below holds the
-    members equal to fa on every lower level, so below & greater[x][fa(x)]
-    is exactly the set of b that first disagree with fa on x's level, with
-    fa lower at x: those with jump_free_violation(fa, b) non-null.  The
-    lowest is the canonical b, and jump_free_violation builds its witness.
+    valuing x above v, and walk, ORed in as greater is built, the members that
+    value some point below another's value there.  Only they can be fa of a
+    violating pair, so only they are walked; most jump-free members are not.
+    The level table, level[x] = max(x), is taken once per distinct point x, by
+    value.  Walking fa's points up the levels, below holds the members equal
+    to fa on every lower level, so below & greater[x][fa(x)] is exactly the
+    set of b that first disagree with fa on x's level, with fa lower at x:
+    those with jump_free_violation(fa, b) non-null.  The lowest is the
+    canonical b, and jump_free_violation builds its witness.
     The verdict covers all m^2 pairs, which the CLI reports as pairsChecked.
     """
     eq: dict[KTuple, dict[int, int]] = {}
@@ -213,15 +234,14 @@ def is_jump_free_family(fam: Family) -> Optional[JumpFreeWitness]:
                 held[v] = held.get(v, 0) | bit
     level = {x: max(x) for x in eq}
     greater: dict[KTuple, dict[int, int]] = {}
+    walk = 0
     for x, held in eq.items():
         above, greater[x] = 0, {}
         for v in sorted(held, reverse=True):
             greater[x][v] = above
             above |= held[v]
-    for fa in fam.members:
-        # Most members of a jump-free family hold no larger value anywhere.
-        if not any(greater[x][v] for x, v in fa.entries.items()):
-            continue
+        walk |= above ^ held[max(held)]
+    for fa in [f for j, f in enumerate(fam.members) if walk >> j & 1]:
         hits, agree, below, top = 0, (1 << len(fam)) - 1, 0, -1
         for level_x, x, v in sorted((level[x], x, v) for x, v in fa.entries.items()):
             if level_x > top:

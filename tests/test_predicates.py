@@ -137,8 +137,10 @@ def _function_docs(draw):
     # Coordinates from 0..2, so points repeat often.
     k = draw(st.integers(1, 3))
     coordinate = _sometimes(st.integers(0, 2), [-1, True, False, 1.0, 1.5, "1", None, [1]], 8)
+    # A well-formed point is sometimes a tuple, which the loader reads as a list.
+    listed = st.lists(coordinate, min_size=k, max_size=k)
     point = _sometimes(
-        st.lists(coordinate, min_size=k, max_size=k),
+        st.one_of(listed, listed.map(tuple)),
         [[], [0] * (k + 1), [0] * (k - 1), "ab", 5, None, {"a": 1}, ()],
         8,
     )
@@ -183,6 +185,9 @@ _MIXED_FAULTS = [
 @settings(max_examples=400, deadline=None)
 @given(_function_docs())
 @example({"id": "f", "k": 2, "entries": []})
+@example({"id": "f", "k": 2, "entries": [[(0, 1), 1], [(1, 1), 0]]})
+@example({"id": "f", "k": 2, "entries": [["ab", 0]]})
+@example({"id": "f", "k": 2, "entries": [[{"a": 1}, 0]]})
 def test_loader_refuses_as_the_literal_loader(data):
     want = _load_outcome(literal_load_function, data)
     assert _load_outcome(FiniteFunction.from_json_dict, data) == want
@@ -206,6 +211,11 @@ def _families(k):
 @given(st.integers(1, 4).flatmap(_families))
 @example(Family(1, (FiniteFunction("one", 1, {(0,): 0}),)))
 @example(Family(4, (FiniteFunction("f\u00e9", 4, {(1, 2, 3, 4): 1, (0, 0, 0, 0): 0}),)))
+# One point valued two ways, a member holding only entries met before, and
+# one holding none: each entry text is found by its (point, value) pair.
+@example(Family(2, (ff("a", {(0, 0): 0}), ff("b", {(0, 0): 1}))))
+@example(Family(2, (ff("a", {(0, 0): 0, (1, 2): 1}), ff("b", {(1, 2): 1, (0, 0): 0}))))
+@example(Family(2, (ff("a", {(0, 0): 0}), ff("e", {}))))
 def test_family_renders_as_the_stdlib_renders_its_json_dict(fam):
     # At two depths, so that the entry template is made for two margins.
     def doc(family):
