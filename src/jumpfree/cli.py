@@ -11,9 +11,7 @@ identical configs replay to identical reports up to timing fields.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -50,15 +48,6 @@ from .subsetsum import METHODS, run_corollary_experiment, solve_subset_sum
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this contract reserves 2 for
-    violations, so usage errors are remapped to 1."""
-
-    def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 class RunConfig(NamedTuple):
@@ -255,7 +244,8 @@ def _run_experiment(cfg: RunConfig) -> Outcome:
 
 # argparse settings of each flag, keyed by its name; dest names the
 # RunConfig field where the two differ.  Defaults live in RunConfig alone:
-# subparsers suppress every flag not given.
+# subparsers suppress every flag not given.  The one action names an
+# argparse class, looked up only when a parser is built.
 _FLAGS = {
     "k": {"type": int, "help": "tuple arity"},
     "p": {"type": int, "help": "cube side length"},
@@ -280,7 +270,7 @@ _FLAGS = {
     "seed": {"type": int, "help": "seed for all randomness"},
     "cubes": {
         "dest": "include_all_cubes",
-        "action": argparse.BooleanOptionalAction,
+        "action": "BooleanOptionalAction",
         "help": "include all cube powers that fit the size bound",
     },
     "family": {"choices": FAMILY_KINDS, "help": "construction rule for members"},
@@ -343,49 +333,101 @@ COMMANDS = {
 }
 
 
-@functools.cache
-def _command_parser(name: str, make: Callable = _Parser) -> argparse.ArgumentParser:
-    """Command name's parser, built once per process by make with the prog and
-    settings sub.add_parser gives it, then --format and the flags it reads."""
-    cmd = make(prog="jumpfree " + name, argument_default=argparse.SUPPRESS)
+def _command_flags(name: str) -> Iterator[tuple[str, dict]]:
+    """The option string and argparse settings of --format and each flag
+    command name's handler reads."""
     for flag, settings in _FLAGS.items():
         if flag == "format" or flag in COMMANDS[name].flags:
-            cmd.add_argument("--" + flag.replace("_", "-"), **settings)
-    return cmd
+            yield "--" + flag.replace("_", "-"), settings
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's subparser by name, built
-    once per process; parse_args keeps no state."""
-    parser = _Parser(
+def _options(name: str) -> dict[str, tuple]:
+    """Each option string command name's parser registers, built once per
+    process: the switch's --cubes and --no-cubes as (dest, value), every
+    other flag as (dest, type, choices), dest named as argparse names it."""
+    table = {}
+    for option, settings in _command_flags(name):
+        dest = settings.get("dest", option[2:].replace("-", "_"))
+        if "action" in settings:
+            table[option], table["--no-" + option[2:]] = (dest, True), (dest, False)
+        else:
+            table[option] = (dest, settings.get("type", str), settings.get("choices"))
+    return table
+
+
+def _read_flags(argv: list[str]) -> Optional[dict]:
+    """RunConfig's keyword arguments for a command name followed only by its
+    exact option strings, each valued one followed by a token argparse takes
+    as its value (no leading "-") that converts and is one of its choices;
+    a repeated flag keeps its last value.  None for any other argv."""
+    options = _options(argv[0])
+    args = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = options.get(token)
+        if option is None:
+            return None
+        if len(option) == 2:  # a switch
+            args[option[0]] = option[1]
+            continue
+        dest, convert, choices = option
+        value = next(tokens, "-")  # "-" stands for a missing value
+        if value.startswith("-"):
+            return None
+        try:
+            args[dest] = convert(value)
+        except ValueError:
+            return None
+        if choices is not None and args[dest] not in choices:
+            return None
+    return args
+
+
+@functools.cache
+def _parser():
+    """The top-level parser with each command's subparser, built once per
+    process and only for an argv the flag table does not read: help,
+    abbreviations, "--flag=value" and every refusal."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse exits 2 on usage errors; this contract reserves 2 for
+        violations, so usage errors are remapped to 1."""
+
+        def error(self, message: str) -> None:
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(
         prog="jumpfree",
         description="Generate, check, search, and run the full solvability experiment.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
     for name, command in COMMANDS.items():
-        _command_parser(name, functools.partial(sub.add_parser, name, help=command.help))
-    return parser, sub.choices
+        cmd = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for option, settings in _command_flags(name):
+            if "action" in settings:
+                settings = {**settings, "action": getattr(argparse, settings["action"])}
+            cmd.add_argument(option, **settings)
+    return parser
 
 
 def _parse_args(argv: list[str]) -> dict:
     """RunConfig's keyword arguments for argv, as the top-level parser's
-    parse_args gives them.  After a command name, that parser only hands the
-    rest to the command's and refuses leftovers, so the command's parser alone
-    parses it here; the top-level one is built only for a refusal or other argv."""
+    parse_args gives them: read off the flag table when it can, else from
+    that parser, which writes all help, usage and error text."""
     if argv[:1] == ["--"] and argv[1:]:  # refused as argparse 3.10-3.13.0 do; later ones drop it
         choices = ", ".join(map(repr, COMMANDS))
-        _parsers()[0].error(f"argument command: invalid choice: '--' (choose from {choices})")
-    if not argv or argv[0] not in COMMANDS:
-        return vars(_parsers()[0].parse_args(argv))
-    flags, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-    if extras:
-        _parsers()[0].error("unrecognized arguments: " + " ".join(extras))
-    return {"command": argv[0], **vars(flags)}
+        _parser().error(f"argument command: invalid choice: '--' (choose from {choices})")
+    args = _read_flags(argv) if argv and argv[0] in COMMANDS else None
+    return vars(_parser().parse_args(argv)) if args is None else args
 
 
 def _to_csv(report: dict) -> str:
     """Scalar report fields only; nested objects stay JSON-only."""
+    import csv
+
     scalars = {
         key: value
         for key, value in sorted(report.items())

@@ -1,5 +1,6 @@
 """Exit-code contract, output document shape, and replay determinism."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import jumpfree.cli
 import jumpfree.predicates
-from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, _parsers, main
+from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, _parser, main
 from jumpfree.families import FAMILY_KINDS, build_universe, iter_family, iter_universe
 from jumpfree.predicates import FiniteFunction
 from oracles import literal_load_function, render_json as stdlib_render
@@ -431,24 +432,55 @@ def _config_main_runs(argv):
 
 
 def _config_top_level_parses(argv):
-    return jumpfree.cli.RunConfig(**vars(_parsers()[0].parse_args(argv)))
+    return jumpfree.cli.RunConfig(**vars(_parser().parse_args(argv)))
 
 
 _ALL_FLAGS = sorted(_FAMILY_FLAGS | {"--p", "--gamma", "--semantics", "--method", "--format"})
-_ARG_TOKENS = st.sampled_from(
-    _ALL_FLAGS
-    + ["-h", "--help", "--he", "--gri", "--s", "--max", "--no", "--fam", "--bogus", "-x", "--"]
-    + ["3", "0", "-3", "abc", "1.5", "max", "constmin", "dp", "csv", "set", "zigzag", "extra"]
-)
+# Spellings argparse refuses that a flag table could wrongly take: abbreviations,
+# "_" for "-", "--" before a command's flag.
+_NEAR_MISSES = ["-h", "--help", "--he", "--gri", "--s", "--max", "--no", "--fam", "--inp"]
+_NEAR_MISSES += ["--max_domain", "--no_cubes", "--bogus", "-x", "--"]
+# Values of every flag, values no flag takes, and spellings int reads.
+_VALUES = ["3", "0", "-3", "abc", "1.5", "max", "constmin", "dp", "csv", "set", "zigzag"]
+_VALUES += ["extra", "", " 3", "07", "1_0"]
 _EQUALS_TOKENS = st.tuples(
     st.sampled_from(_ALL_FLAGS + ["--gri", "--bogus"]), st.sampled_from(["3", "abc", "max", ""])
 ).map("=".join)
+# Single tokens, or a flag with a value after it.
+_CHUNKS = (
+    st.sampled_from(_ALL_FLAGS + _NEAR_MISSES + _VALUES + list(jumpfree.cli.COMMANDS)).map(
+        lambda token: [token]
+    )
+    | _EQUALS_TOKENS.map(lambda token: [token])
+    | st.tuples(st.sampled_from(_ALL_FLAGS + _NEAR_MISSES), st.sampled_from(_VALUES)).map(list)
+    | st.just(["--format", "csv"])
+)
+# A flag, or "_" for its "-", with a value it takes, so that runs of flags
+# well formed for the command but for one spelling are drawn often.
+_GOOD_VALUES = {
+    "--family": ["max", "constmin"],
+    "--gamma": ["zigzag,zigzag,zigzag", "shifted:-5,zigzag,zigzag"],
+    "--semantics": ["set"],
+    "--method": ["exhaustive"],
+    "--format": ["csv", "json"],
+    "--input": ["in.json", ""],
+}
+
+
+def _with_value(flag):
+    if flag in ("--cubes", "--no-cubes", "--no_cubes"):
+        return st.just([flag])
+    values = _GOOD_VALUES.get(flag, ["3", "0", " 3", "07", "1_0"])
+    return st.sampled_from(values).map(lambda value: [flag, value])
+
+
+_FLAG_CHUNKS = st.sampled_from(_ALL_FLAGS + ["--max_domain", "--no_cubes"]).flatmap(_with_value)
 _COMMAND_NAMES = list(jumpfree.cli.COMMANDS)
 # A command name first, or none, or an unknown one; then anything.
 _ARGVS = st.tuples(
     st.sampled_from([[]] + [[name] for name in _COMMAND_NAMES] + [["bogus"]]),
-    st.lists(_ARG_TOKENS | _EQUALS_TOKENS | st.sampled_from(_COMMAND_NAMES), max_size=6),
-).map(lambda parts: parts[0] + parts[1])
+    st.lists(_CHUNKS | _FLAG_CHUNKS | _FLAG_CHUNKS, max_size=6),
+).map(lambda parts: parts[0] + [token for chunk in parts[1] for token in chunk])
 
 
 # The one refusal of a leading "--" before more argv, on every Python release.
@@ -469,6 +501,29 @@ _DASHES = (
 @example(["gen", "--", "--k", "3"])
 @example(["search", "--grid=5", "--no-cubes", "--p", "3"])
 @example([])
+@example(["experiment", "--grid", "4", "--max_domain", "4"])
+@example(["gen", "--no_cubes"])
+@example(["solve", "--cubes"])
+@example(["sets", "--no-cubes", "--input", "in.json"])
+@example(["check-rr", "--input", "in.json", "--cubes"])
+@example(["gen", "--k", "", "--grid", " 3", "--samples", "07", "--seed", "1_0"])
+@example(["search", "--p", "3", "--format", "csv", "--k", "3", "--k", "2"])
+@example(["gen", "--input", "--no-cubes"])
+@example(["experiment", "--k", "-3", "--gamma", "-1"])
+# One argv of each shape perfbench runs.
+@example(
+    "experiment --family predmin --p 3 --gamma shifted:-105,shifted:10,shifted:147 --k 2 "
+    "--grid 8 --max-domain 64 --samples 183 --seed 383071".split()
+)
+@example("gen --family max --k 2 --grid 5 --max-domain 9 --samples 97 --seed 303489".split())
+@example(["check-jumpfree", "--input", "family.json"])
+@example(
+    "check-full --input family.json --k 2 --grid 5 --max-domain 9 --samples 97 --seed 303489".split()
+)
+@example(
+    "check-jumpfree --family constmin --k 2 --grid 5 --max-domain 9 --samples 96 --seed 733131".split()
+)
+@example(["solve", "--input", "multiset.json"])
 def test_main_parses_as_the_top_level_parser(argv):
     # A leading "--" before more is refused by main itself (see the test
     # below): newer argparse releases drop it and parse the rest.
@@ -488,7 +543,7 @@ def test_leading_double_dash_is_refused_with_the_top_level_usage(capsys, monkeyp
     # refuses a leading "--" as an invalid command, later releases drop it,
     # so main refuses it before argparse reads argv.  A lone "--" still gets
     # the top-level parser's "required: command".
-    monkeypatch.setattr(jumpfree.cli._Parser, "parse_args", lambda *a: pytest.fail("parsed"))
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", lambda *a: pytest.fail("parsed"))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
