@@ -51,6 +51,10 @@ SEARCH_DOCS = {
     "grid16.json": (16, lambda x: max(min(x) - 1, 0), ()),
     "zero16.json": (16, lambda x: 0, ()),
     "zero16_lookup.json": (16, lambda x: 0, ((15, 0),)),
+    # The complete 6-partite graph on 47 vertices, with loops: no 7-cube.
+    "multipartite.json": (
+        47, max, {(a, b) for a in range(47) for b in range(47) if a != b and (a - b) % 6 == 0}
+    ),
 }
 SEARCH_CASES = {
     # C(20, 10) cubes and no witness: the work budget refuses it.
@@ -60,6 +64,9 @@ SEARCH_CASES = {
     # lookup path.
     "zero16": ["search", "--input", "zero16.json", "--p", "8"],
     "zero16_lookup": ["search", "--input", "zero16_lookup.json", "--p", "8"],
+    # Enumerating its element sets on the lookup path passes the work budget:
+    # exit 1, with the capacity line on stderr.
+    "multipartite47_refusal": ["search", "--input", "multipartite.json", "--p", "7"],
     # Universes whose cube classes too small for a p-cube are never built.
     "max_grid18_p16": (
         "experiment --family max --k 2 --samples 0 --grid 18 --max-domain 256 --p 16".split()
@@ -128,7 +135,8 @@ def run_once(workload: str, seed: int, seconds: float) -> dict:
 
 
 def write_search_docs(directory) -> None:
-    """Write each document of SEARCH_DOCS into directory, under its name."""
+    """Write each document of SEARCH_DOCS into directory, under its name.  CI's
+    console-script checks write their scale documents with it, too."""
     for name, (n, value, left_out) in SEARCH_DOCS.items():
         points = [(a, b) for a in range(n) for b in range(n) if (a, b) not in left_out]
         member = {"id": "m", "k": 2, "entries": [[list(x), value(x)] for x in points]}

@@ -99,22 +99,6 @@ class FiniteFunction(Record):
             "entries": [[list(t), v] for t, v in sorted(self.entries.items())],
         }
 
-    def render_json(self, margin: str, texts: Optional[dict] = None) -> str:
-        """to_json_dict() as core.render_json renders it at margin, each entry
-        filled into one template per (k, margin) once: texts maps each (point,
-        value) to its text, one dict shared by a family's members per render."""
-        inner, at, texts = margin + "  ", margin + "    ", {} if texts is None else texts
-        entry = _entry_template(self.k, at)
-        entries = ("," + at).join([
-            texts.get(item) or texts.setdefault(item, entry % (*item[0], item[1]))
-            for item in sorted(self.entries.items())
-        ])
-        return "".join((
-            "{", inner, '"entries": ', "[" + at + entries + inner + "]" if entries else "[]",
-            ",", inner, '"id": ', render_json(self.id),
-            ",", inner, '"k": ', repr(self.k), margin, "}",
-        ))
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteFunction":
         """The function a document describes, its entries checked in place with the
@@ -160,11 +144,23 @@ class Family(Record):
         return {"k": self.k, "members": [m.to_json_dict() for m in self.members]}
 
     def render_json(self, margin: str) -> str:
-        """to_json_dict() as core.render_json renders it at margin, the
-        members sharing one dict of entry texts made for this call alone."""
-        inner, at, texts = margin + "  ", margin + "    ", {}
-        members = ("," + at).join([m.render_json(at, texts) for m in self.members])
-        body = f"[{at}{members}{inner}]" if members else "[]"
+        """to_json_dict() as core.render_json renders it at margin.  The family
+        renders its members' entries itself: texts, made for this call alone,
+        maps each (point, value) to its text, filled into the one template of
+        the family's arity at the entries' margin the first time it is met."""
+        inner, at, texts, members = margin + "  ", margin + "    ", {}, []
+        m_inner, m_at = at + "  ", at + "    "
+        entry, k_tail = _entry_template(self.k, m_at), f',{m_inner}"k": {self.k!r}{at}}}'
+        for m in self.members:
+            entries = ("," + m_at).join([
+                texts.get(item) or texts.setdefault(item, entry % (*item[0], item[1]))
+                for item in sorted(m.entries.items())
+            ])
+            members.append("".join((
+                "{", m_inner, '"entries": ', f"[{m_at}{entries}{m_inner}]" if entries else "[]",
+                ",", m_inner, '"id": ', render_json(m.id), k_tail,
+            )))
+        body = "".join(("[", at, ("," + at).join(members), inner, "]")) if members else "[]"
         return f'{{{inner}"k": {self.k!r},{inner}"members": {body}{margin}}}'
 
     @classmethod

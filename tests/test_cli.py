@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 import jumpfree.cli
 import jumpfree.predicates
+import jumpfree.subsetsum
 from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, _parser, main
 from jumpfree.families import FAMILY_KINDS, build_universe, iter_family, iter_universe
+from jumpfree.intsets import IntMultiset
 from jumpfree.predicates import FiniteFunction
 from oracles import literal_load_function, render_json as stdlib_render
 
@@ -281,6 +283,22 @@ def test_experiment_replay_is_byte_identical(capsys, family_file):
     a, b = json.loads(first), json.loads(second)
     del a["report"]["timings_ms"], b["report"]["timings_ms"]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_experiment_reports_a_solvability_mismatch(capsys, monkeypatch, family_file):
+    # F holds a zero and H does not, so the two answers disagree.
+    pair = (IntMultiset.from_pairs([[0, 1]]), IntMultiset.from_pairs([[1, 1]]))
+    monkeypatch.setattr(jumpfree.subsetsum, "build_fh", lambda *a, **kw: pair)
+    status, out = run_cli(capsys, "experiment", "--input", family_file)
+    assert status == EXIT_VIOLATION
+    assert out == stdlib_render(json.loads(out)) + "\n"
+    doc = json.loads(out)
+    assert doc["command"] == "experiment"
+    report, violation = doc["report"], doc["violation"]
+    assert (report["outcome"], report["solvable_F"], report["solvable_H"]) == ("ok", True, False)
+    checks = ("fh_equal", "agreement", "cardinality_ok")
+    assert violation == {"kind": "solvabilityMismatch", **{key: report[key] for key in checks}}
+    assert violation["agreement"] is False
 
 
 def test_generated_commands_replay_identically(capsys):

@@ -109,6 +109,8 @@ def test_multiset_rejects_nonpositive_multiplicity():
 
 def test_multiset_respects_multiplicity_in_equality():
     assert IntMultiset.from_values([0, 0]) != IntMultiset.from_values([0])
+    # Another type is never equal, its own counts included.
+    assert IntMultiset.from_values([0, 0]) != {0: 2}
 
 
 @pytest.mark.parametrize(
