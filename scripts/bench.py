@@ -11,7 +11,7 @@ counts, plus the Python version, os.cpu_count() and `git rev-parse HEAD`
 (with whether the working tree differed from it).  A `search` block
 times each of SEARCH_CASES through cli.main in this process: witness
 searches; generation, jump-free and fullness checks on a sampled universe,
-all past the pinned pools' sizes.  Each records its SEARCH_REPEATS wall
+all past the pinned pools' sizes; and subset sum on values in +-10^5.  Each records its SEARCH_REPEATS wall
 times (`times_ms`) and their median, the exit code and the sha256 of
 stdout with the solve timings zeroed, so a digest that moves between two
 BENCH files marks a changed output.  A median moves by 20-30 % between
@@ -28,11 +28,13 @@ Exits 1 without writing when any run fails.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
 import platform
+import random
 import re
 import statistics
 import subprocess
@@ -45,16 +47,45 @@ ROOT = Path(__file__).resolve().parent.parent
 # Fixed, so that BENCH_*.json files of different commits are comparable.
 SEEDS = (1, 2, 3)
 
-# One-member k = 2 documents on the n x n grid: name -> (n, value, points left out).
+
+def grid_doc(n: int, value, left_out=()) -> dict:
+    """A one-member k = 2 family document on the n x n grid, less left_out."""
+    points = [(a, b) for a in range(n) for b in range(n) if (a, b) not in left_out]
+    member = {"id": "m", "k": 2, "entries": [[list(x), value(x)] for x in points]}
+    return {"k": 2, "members": [member]}
+
+
+def multiset_doc(n: int, draw) -> list:
+    """A [[value, 1], ...] document of n values, each draw(rng) for rng = random.Random(n)."""
+    rng = random.Random(n)
+    return [[draw(rng), 1] for _ in range(n)]
+
+
+def signed(rng) -> int:
+    return rng.choice((-1, 1)) * rng.randint(1, 10**5)
+
+
+def one_mod_201(rng) -> int:
+    # c <= 200 such values sum to c mod 201, never 0: no subset sums to zero.
+    return 1 + 201 * rng.randint(-497, 497)
+
+
+# The documents the cases read: name -> a function that builds it.
 SEARCH_DOCS = {
-    "grid20.json": (20, lambda x: max(min(x) - 1, 0), ()),
-    "grid16.json": (16, lambda x: max(min(x) - 1, 0), ()),
-    "zero16.json": (16, lambda x: 0, ()),
-    "zero16_lookup.json": (16, lambda x: 0, ((15, 0),)),
+    "grid20.json": functools.partial(grid_doc, 20, lambda x: max(min(x) - 1, 0)),
+    "grid16.json": functools.partial(grid_doc, 16, lambda x: max(min(x) - 1, 0)),
+    "zero16.json": functools.partial(grid_doc, 16, lambda x: 0),
+    "zero16_lookup.json": functools.partial(grid_doc, 16, lambda x: 0, ((15, 0),)),
     # The complete 6-partite graph on 47 vertices, with loops: no 7-cube.
-    "multipartite.json": (
-        47, max, {(a, b) for a in range(47) for b in range(47) if a != b and (a - b) % 6 == 0}
+    "multipartite.json": functools.partial(
+        grid_doc, 47, max,
+        {(a, b) for a in range(47) for b in range(47) if a != b and (a - b) % 6 == 0},
     ),
+    # Values in +-10^5, the north star's multiset scale.
+    "signed100.json": functools.partial(multiset_doc, 100, signed),
+    "signed200.json": functools.partial(multiset_doc, 200, signed),
+    "signed400.json": functools.partial(multiset_doc, 400, signed),
+    "nozero200.json": functools.partial(multiset_doc, 200, one_mod_201),
 }
 SEARCH_CASES = {
     # C(20, 10) cubes and no witness: the work budget refuses it.
@@ -85,6 +116,20 @@ SEARCH_CASES = {
     "constmin_grid16_p8": (
         "search --family constmin --k 2 --grid 16 --max-domain 256 --samples 0 --p 8".split()
     ),
+    # ROADMAP item 1's scoreboard: each exits 1 today, refused by dp's cap on
+    # its prefixes; item 1 landing turns each exit 1 into 0.
+    "experiment_shifted_grid12_p10": (
+        "experiment --family max --k 2 --samples 0 --gamma shifted:50000,shifted:50000,"
+        "shifted:-50000 --p 10 --grid 12 --max-domain 100".split()
+    ),
+    "experiment_shifted_grid20_p20": (
+        "experiment --family max --k 2 --samples 0 --gamma shifted:50000,shifted:50000,"
+        "shifted:-50000 --p 20 --grid 20 --max-domain 400".split()
+    ),
+    "solve_signed100": ["solve", "--input", "signed100.json"],
+    "solve_signed200": ["solve", "--input", "signed200.json"],
+    "solve_signed400": ["solve", "--input", "signed400.json"],
+    "solve_nozero200": ["solve", "--input", "nozero200.json"],
     # The 6,780-member universe of 3,000 draws: predmin is jump free (exit 0);
     # constmin is not, with witness constmin-3785 / constmin-011 at (2, 2).
     "gen_predmin_6780": (
@@ -137,10 +182,8 @@ def run_once(workload: str, seed: int, seconds: float) -> dict:
 def write_search_docs(directory) -> None:
     """Write each document of SEARCH_DOCS into directory, under its name.  CI's
     console-script checks write their scale documents with it, too."""
-    for name, (n, value, left_out) in SEARCH_DOCS.items():
-        points = [(a, b) for a in range(n) for b in range(n) if (a, b) not in left_out]
-        member = {"id": "m", "k": 2, "entries": [[list(x), value(x)] for x in points]}
-        Path(directory, name).write_text(json.dumps({"k": 2, "members": [member]}))
+    for name, build in SEARCH_DOCS.items():
+        Path(directory, name).write_text(json.dumps(build()))
 
 
 def run_search_cases() -> dict:

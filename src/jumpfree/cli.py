@@ -184,11 +184,10 @@ def _run_check_rr(cfg: RunConfig) -> Outcome:
     rr = regressive_regularity(f, cube)
     report = {"functionId": f.id, "cube": cube.to_json_dict(), "report": rr}
     # perClass lists the classes in signature order.
-    violated = [(sig, v) for sig, v in rr["perClass"].items() if v["kind"] == VIOLATED]
-    if not violated:
-        return report, None
-    sig, verdict = violated[0]
-    return report, {"kind": "irregularClass", "signature": sig, "verdict": verdict}
+    for sig, verdict in rr["perClass"].items():
+        if verdict["kind"] == VIOLATED:
+            return report, {"kind": "irregularClass", "signature": sig, "verdict": verdict}
+    return report, None
 
 
 def _run_search(cfg: RunConfig) -> Outcome:
@@ -465,8 +464,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     cfg = RunConfig(**_parse_args(sys.argv[1:] if argv is None else argv))
     try:
         text, status = run(cfg)
-    except CapacityError as exc:
-        print(f"jumpfree: capacity: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"jumpfree: capacity: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"jumpfree: error: {exc}", file=sys.stderr)

@@ -33,11 +33,9 @@ VIOLATED = "violated"
 
 @functools.cache
 def _entry_template(k: int, margin: str) -> str:
-    """One [point, value] entry of arity k laid out as core.render_json lays
-    it out at margin, with %d for each coordinate and for the value."""
-    m1, m2 = margin + "  ", margin + "    "
-    point = "[" + m2 + ("," + m2).join(["%d"] * k) + m1 + "]"
-    return "[" + m1 + point + "," + m1 + "%d" + margin + "]"
+    """One [point, value] entry of arity k as core.render_json lays it out at
+    margin, %d for each number: its brackets, separators and margins hold no -1."""
+    return render_json([[-1] * k, -1], margin).replace("-1", "%d")
 
 
 def _checked(id: str, k: int, entries: dict[KTuple, int], copy: bool = False) -> dict[KTuple, int]:

@@ -606,6 +606,17 @@ def test_capacity_error_exits_1(capsys, tmp_path):
     assert "capacity" in capsys.readouterr().err
 
 
+def test_running_out_of_memory_is_a_capacity_error(capsys, monkeypatch):
+    def exhausted(family):
+        raise MemoryError()
+
+    monkeypatch.setattr(jumpfree.cli, "is_jump_free_family", exhausted)
+    assert main(["check-jumpfree", "--grid", "3", "--samples", "0"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jumpfree: capacity: out of memory\n"
+
+
 def test_exhaustive_answers_a_small_multiset_of_large_values(capsys, tmp_path):
     # dp's table grows with the values, so it refuses two items that
     # exhaustive decides at once: the reason --method exhaustive stays.
