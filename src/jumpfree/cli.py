@@ -11,7 +11,6 @@ identical configs replay to identical reports up to timing fields.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import json
@@ -74,22 +73,31 @@ class RunConfig(NamedTuple):
         return UniverseSpec(**{name: getattr(self, name) for name in UniverseSpec._fields})
 
 
-@contextlib.contextmanager
-def _reading(path: str, expected: str) -> Iterator:
-    """The JSON document at path.  Text that is not UTF-8 JSON raises a
-    ValueError that names the file; so does a TypeError or KeyError raised
-    while the body reads it into records, naming what it should hold."""
-    with open(path, "r", encoding="utf-8") as fh:
+class _reading:
+    """The JSON document at path, read as UTF-8 bytes with text mode's
+    universal newlines.  Text that is not UTF-8 JSON raises a ValueError
+    that names the file; so does a TypeError or KeyError raised while the
+    body reads it into records, naming what it should hold."""
+
+    def __init__(self, path: str, expected: str) -> None:
+        self.path, self.expected = path, expected
+
+    def __enter__(self):
+        with open(self.path, "rb", buffering=0) as fh:
+            text = fh.read()
         try:
-            data = json.load(fh)
+            text = text.decode()  # one name, so the bytes die before parsing
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            return json.loads(text)
         except RecursionError:
-            raise ValueError(f"{path}: document nested too deeply") from None
+            raise ValueError(f"{self.path}: document nested too deeply") from None
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise ValueError(f"{path}: not JSON: {exc}") from None
-    try:
-        yield data
-    except (TypeError, KeyError):
-        raise ValueError(f"{path}: {expected}") from None
+            raise ValueError(f"{self.path}: not JSON: {exc}") from None
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, (TypeError, KeyError)):
+            raise ValueError(f"{self.path}: {self.expected}") from None
 
 
 def _load_members(

@@ -12,7 +12,6 @@ regularity guarantees.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from typing import Iterable, NamedTuple
 
 from .core import Cube, json_items
@@ -102,7 +101,7 @@ class IntMultiset:
     __slots__ = ("_counts",)
 
     def __init__(self) -> None:
-        self._counts: Counter = Counter()
+        self._counts: dict[int, int] = {}
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "IntMultiset":
@@ -123,10 +122,10 @@ class IntMultiset:
             raise ValueError(f"multiset values must be integers, got {value!r}")
         if type(multiplicity) is not int or multiplicity < 1:
             raise ValueError(f"multiplicity must be an integer >= 1, got {multiplicity!r}")
-        self._counts[value] += multiplicity
+        self._counts[value] = self._counts.get(value, 0) + multiplicity
 
     def count(self, value: int) -> int:
-        return self._counts[value]
+        return self._counts.get(value, 0)
 
     def items(self) -> list[tuple[int, int]]:
         """Sorted (value, multiplicity) pairs."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import time
-from collections import Counter
 from typing import Iterable, NamedTuple, Optional
 
 from .core import CapacityError, JsonRecord
@@ -40,7 +39,7 @@ class SubsetCertificate(NamedTuple):
     to_json_dict = JsonRecord.to_json_dict
 
 
-def _certificate(counts: Counter) -> SubsetCertificate:
+def _certificate(counts: dict[int, int]) -> SubsetCertificate:
     chosen = tuple(sorted((v, m) for v, m in counts.items() if m > 0))
     return SubsetCertificate(chosen=chosen, sum=sum(v * m for v, m in chosen))
 
@@ -70,7 +69,7 @@ def _solve_exhaustive(ms: IntMultiset) -> Optional[SubsetCertificate]:
         if not any(take):
             continue
         if sum(v * t for v, t in zip(values, take)) == 0:
-            return _certificate(Counter(dict(zip(values, take))))
+            return _certificate(dict(zip(values, take)))
     return None
 
 
@@ -99,12 +98,12 @@ def _solve_dp(ms: IntMultiset) -> Optional[SubsetCertificate]:
         prefixes.append(reach)
     if not reach >> offset & 1:
         return None
-    counts: Counter = Counter()
+    counts: dict[int, int] = {}
     i, t = offset, len(items)
     while True:
         t = bisect.bisect_left(prefixes, 1, hi=t, key=lambda r: r >> i & 1)
         v = items[t]
-        counts[v] += 1
+        counts[v] = counts.get(v, 0) + 1
         if i == v + offset:
             break
         i -= v

@@ -235,6 +235,13 @@ def literal_load_function(data):
     return FiniteFunction(id=fid, k=k, entries=entries)
 
 
+def literal_read_document(path):
+    """The JSON document at path as text mode reads it: UTF-8, universal
+    newlines, and json.load on the file object."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def predecessor_set(domain, x):
     """Points of the domain whose maximum coordinate is strictly below max(x)."""
     pts = set(domain)

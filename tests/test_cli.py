@@ -21,7 +21,7 @@ from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, _parser, main
 from jumpfree.families import FAMILY_KINDS, build_universe, iter_family, iter_universe
 from jumpfree.intsets import IntMultiset
 from jumpfree.predicates import FiniteFunction
-from oracles import literal_load_function, render_json as stdlib_render
+from oracles import literal_load_function, literal_read_document, render_json as stdlib_render
 
 
 def run_cli(capsys, *argv):
@@ -869,6 +869,47 @@ def test_document_that_is_not_json_exits_1(capsys, tmp_path, command, document):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     if document in _NOT_JSON:  # the line names the file
         assert captured.err.startswith(f"jumpfree: error: {path}: not JSON: ")
+
+
+_LF_MULTISET = b"[[3, 1],\n [-1, 1],\n [4, 2],\n [-2, 1]]\n"
+
+# Raw documents whose lines end in CRLF or CR, or that are not UTF-8 text;
+# each must be read as text mode reads it.  The malformed ones fail some
+# lines down, where the line, column and char of the parser's message
+# depend on how line endings were read.
+_RAW_DOCUMENTS = {
+    "crlf": _LF_MULTISET.replace(b"\n", b"\r\n"),
+    "cr": _LF_MULTISET.replace(b"\n", b"\r"),
+    "crlf_missing_comma": b"[[3, 1],\r\n [-1, 1],\r\n [4, 2]\r\n [-2, 1]]\r\n",
+    "cr_missing_comma": b"[[3, 1],\r [-1, 1],\r [4, 2]\r [-2, 1]]\r",
+    "crlf_cr_in_string": b'[[3, 1],\r\n [-1, 1],\r\n ["a\rb", 1]]\r\n',
+    "cr_cr_in_string": b'[[3, 1],\r [-1, 1],\r ["a\rb", 1]]\r',
+    # Past the 8,192-byte chunks a text-mode reader decodes in.
+    "not_utf8_at_20010": b"[" + b" " * 20009 + b"\xff]",
+    "bom": b"\xef\xbb\xbf" + _LF_MULTISET,
+    "utf16": _LF_MULTISET.decode().encode("utf-16"),
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("name", _RAW_DOCUMENTS)
+def test_document_is_read_as_text_mode_reads_it(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(_RAW_DOCUMENTS[name])
+    if name in ("crlf", "cr"):
+        assert literal_read_document(path) == json.loads(_LF_MULTISET)
+        lf = tmp_path / "lf.json"
+        lf.write_bytes(_LF_MULTISET)
+        status, doc = run_json(capsys, "solve", "--input", str(path))
+        assert status == EXIT_OK
+        assert doc["report"] == run_json(capsys, "solve", "--input", str(lf))[1]["report"]
+        return
+    with pytest.raises(ValueError) as refusal:
+        literal_read_document(path)
+    assert main(["solve", "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"jumpfree: error: {path}: not JSON: {refusal.value}\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "check-jumpfree", "check-rr"])

@@ -111,6 +111,11 @@ def test_multiset_respects_multiplicity_in_equality():
     assert IntMultiset.from_values([0, 0]) != IntMultiset.from_values([0])
     # Another type is never equal, its own counts included.
     assert IntMultiset.from_values([0, 0]) != {0: 2}
+    # Counting an absent value finds 0 and records nothing.
+    ms = IntMultiset.from_values([1, 1])
+    assert ms.count(2) == 0
+    assert ms.items() == [(1, 2)]
+    assert ms == IntMultiset.from_values([1, 1])
 
 
 @pytest.mark.parametrize(
