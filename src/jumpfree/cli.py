@@ -100,27 +100,27 @@ class _reading:
             raise ValueError(f"{self.path}: {self.expected}") from None
 
 
-def _load_members(
+def _load_family(
     cfg: RunConfig, universe: Optional[list[Domain]] = None, p: Optional[int] = None
-) -> tuple[Iterable[FiniteFunction | int], int, Optional[dict]]:
-    """Members from --input, a family document bare or wrapped under
-    report.family, else generated from the universe flags, with their
-    arity k and the universe spec's JSON (None for --input).  Generated
-    members come as a stream, over universe when the caller has built it,
-    so a search stops generation at its witness; given a cube side p, each
-    run of n domains too small for a p-cube comes as the int n (see
-    iter_universe).  They are built unchecked, since iter_universe, or
-    build_universe for universe, made their points from the spec's grid."""
+) -> tuple[Family | Iterable[FiniteFunction | int], Optional[dict]]:
+    """The family from --input, a family document bare or wrapped under
+    report.family, else generated from the universe flags, over universe
+    when the caller has built it, with the universe spec's JSON (None for
+    --input); its Family is built, with that class's checks, once, here.
+    Given a cube side p, generated members come instead as a stream, so a
+    search stops generation at its witness, and a run of n domains too small
+    for a p-cube as the int n (see iter_universe).  Generated members skip
+    FiniteFunction's checks: their points come from the spec's grid."""
     if cfg.input is None:
         spec = cfg.universe_spec()
         domains = iter_universe(spec, p) if universe is None else universe
         members = _iter_members(cfg.family, domains, FiniteFunction._trusted)
-        return members, spec.k, spec.to_json_dict()
+        family = members if p is not None else Family(spec.k, tuple(members))
+        return family, spec.to_json_dict()
     with _reading(cfg.input, "not a family document") as data:
         if "members" not in data:
             data = data["report"]["family"]
-        fam = Family.from_json_dict(data)
-    return fam.members, fam.k, None
+        return Family.from_json_dict(data), None
 
 
 def _load_function_cube(cfg: RunConfig) -> tuple[FiniteFunction, Cube]:
@@ -142,8 +142,7 @@ Outcome = tuple[dict, Optional[dict]]
 
 
 def _run_gen(cfg: RunConfig) -> Outcome:
-    members, k, universe = _load_members(cfg)
-    fam = Family(k, tuple(members))
+    fam, universe = _load_family(cfg)
     report = {
         "universe": universe,
         "family": fam,
@@ -153,8 +152,7 @@ def _run_gen(cfg: RunConfig) -> Outcome:
 
 
 def _run_check_jumpfree(cfg: RunConfig) -> Outcome:
-    members, k, universe = _load_members(cfg)
-    fam = Family(k, tuple(members))
+    fam, universe = _load_family(cfg)
     witness = is_jump_free_family(fam)
     report = {
         "universe": universe,
@@ -171,10 +169,9 @@ def _run_check_full(cfg: RunConfig) -> Outcome:
     # always built from the flags and surfaced, even for input families.
     spec = cfg.universe_spec()
     universe = build_universe(spec)
-    members, k, _ = _load_members(cfg, universe)
-    if k != spec.k:
-        raise ValueError(f"family arity {k} does not match the universe arity {spec.k} (--k)")
-    fam = Family(k, tuple(members))
+    fam, _ = _load_family(cfg, universe)
+    if fam.k != spec.k:
+        raise ValueError(f"family arity {fam.k} does not match the universe arity {spec.k} (--k)")
     uncovered = is_full_over(fam, universe)
     domain = None if uncovered is None else [list(t) for t in uncovered]
     report = {
@@ -199,8 +196,8 @@ def _run_check_rr(cfg: RunConfig) -> Outcome:
 
 
 def _run_search(cfg: RunConfig) -> Outcome:
-    members, k, universe = _load_members(cfg, p=cfg.p)
-    witness = find_regressively_regular_witness(members, cfg.p, k)
+    members, universe = _load_family(cfg, p=cfg.p)
+    witness = find_regressively_regular_witness(members, cfg.p, cfg.k)
     report = {
         "universe": universe,
         "p": cfg.p,
@@ -239,9 +236,9 @@ def _run_solve(cfg: RunConfig) -> Outcome:
 
 
 def _run_experiment(cfg: RunConfig) -> Outcome:
-    members, k, universe = _load_members(cfg, p=cfg.p)
+    members, universe = _load_family(cfg, p=cfg.p)
     gammas = GammaTriple.parse(cfg.gamma)
-    report = run_corollary_experiment(members, cfg.p, gammas=gammas, method=cfg.method, k=k)
+    report = run_corollary_experiment(members, cfg.p, gammas=gammas, method=cfg.method, k=cfg.k)
     report["universe"] = universe
     checks = {key: report[key] for key in ("fh_equal", "agreement", "cardinality_ok")}
     if report["outcome"] == "ok" and not all(checks.values()):
@@ -472,13 +469,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     cfg = RunConfig(**_parse_args(sys.argv[1:] if argv is None else argv))
     try:
         text, status = run(cfg)
+        sys.stdout.write(text)
     except (CapacityError, MemoryError) as exc:
         print(f"jumpfree: capacity: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"jumpfree: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    sys.stdout.write(text)
     return status
 
 

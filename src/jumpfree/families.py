@@ -272,8 +272,8 @@ def find_regressively_regular_witness(
     An _Images n, as the rules commute with its maps, holds no witness and
     is counted and charged in one step as n times the member before, which
     passes the budget exactly when charging member by member would.
-    k is the members' arity; left out, it is members.k and a whole Family
-    is scanned.
+    A Family is scanned whole at its own arity; any other iterable is
+    scanned at arity k.
     Returns None when the members are exhausted; over a truncated universe
     that outcome carries no meaning beyond the scanned scope.  Element sets
     tried for cubes (charged as iter_cubes says) and the p^k points of each
@@ -286,7 +286,7 @@ def find_regressively_regular_witness(
     """
     if p < 2:
         raise ValueError("witness search requires cube size p >= 2")
-    if k is None:
+    if isinstance(members, Family):
         members, k = members.members, members.k
     if k < 2:
         raise ValueError("witness search requires arity k >= 2")

@@ -120,15 +120,15 @@ def run_corollary_experiment(
     """Witness search, multiset construction, and paired solvability check.
 
     Finds the first regressively regular (member, cube) pair, pulling
-    members only up to it (see find_regressively_regular_witness for
-    members, ints among them, and k), builds the witness member's paired
-    multisets under multiset semantics, solves both for target zero, and
-    reports, as JSON, whether the decisions agree, along with the p^k
-    cardinality check and wall-clock solve timings, which are
-    informational only (solve_H is near 0 when H equals F, whose
-    certificate is then reused).  outcome is "no_witness", a defined
-    result and not an error, when no member is regressively regular;
-    every other field is then null and timings_ms empty.
+    members only up to it (see find_regressively_regular_witness for ints
+    among them): a Family is scanned whole at its own arity, any other
+    iterable at arity k.  Builds the witness member's paired multisets
+    under multiset semantics, solves both for target zero, and reports, as
+    JSON, whether the decisions agree, with the p^k cardinality check and
+    wall-clock solve timings, which are informational only (solve_H is
+    near 0 when H equals F, whose certificate is then reused).  outcome is
+    "no_witness", a defined result and not an error, when no member is
+    regressively regular; every other field is then null and timings_ms empty.
     """
     witness = find_regressively_regular_witness(members, p, k)
     report = {"outcome": OUTCOME_NO_WITNESS, "method": method, "p": p, "timings_ms": {}}

@@ -20,7 +20,7 @@ import jumpfree.subsetsum
 from jumpfree.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, _parser, main
 from jumpfree.families import FAMILY_KINDS, build_universe, iter_family, iter_universe
 from jumpfree.intsets import IntMultiset
-from jumpfree.predicates import FiniteFunction
+from jumpfree.predicates import Family, FiniteFunction
 from oracles import literal_load_function, literal_read_document, render_json as stdlib_render
 
 
@@ -587,12 +587,18 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, argv):
 
 
 def test_theorem_commands_reject_k1(capsys, monkeypatch):
-    # The witness search refuses k < 2 and p < 2 before it pulls a member.
+    # The witness search refuses k < 2 and p < 2 before it pulls a member;
+    # p = 0 is a cube side too, so the loader streams the members for it.
     built = []
     monkeypatch.setattr(FiniteFunction, "_trusted", lambda *a: built.append(a))
+    refusals = (
+        ("--k", "1", "arity k >= 2"),
+        ("--p", "1", "cube size p >= 2"),
+        ("--p", "0", "cube size p >= 2"),
+    )
     for command in ("search", "experiment"):
-        for flag, message in (("--k", "arity k >= 2"), ("--p", "cube size p >= 2")):
-            assert main([command, flag, "1"]) == EXIT_ERROR
+        for flag, value, message in refusals:
+            assert main([command, flag, value]) == EXIT_ERROR
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"jumpfree: error: witness search requires {message}\n"
@@ -615,6 +621,46 @@ def test_running_out_of_memory_is_a_capacity_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "jumpfree: capacity: out of memory\n"
+
+
+def test_an_error_while_writing_exits_1(capsys, monkeypatch, tmp_path):
+    # A csv field keeps the function id as it is, and ASCII cannot encode
+    # it: the write fails, and that is an error like any other.
+    doc = _function_cube_doc([2, 2, 2, 3])
+    doc["function"]["id"] = "f\u4e00"
+    path = tmp_path / "fc.json"
+    path.write_text(json.dumps(doc))
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["check-rr", "--input", str(path), "--format", "csv"]) == EXIT_ERROR
+    stdout.flush()
+    assert stdout.buffer.getvalue() == b""
+    with pytest.raises(UnicodeEncodeError) as refusal:
+        "functionId\nf\u4e00\n".encode("ascii")
+    assert capsys.readouterr().err == f"jumpfree: error: {refusal.value}\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "check-jumpfree", "check-full", "search", "experiment"])
+@pytest.mark.parametrize("source", ["input", "generated"])
+def test_a_family_command_builds_at_most_one_family(
+    capsys, monkeypatch, family_file, source, command
+):
+    # An --input family is built, with Family's checks, once, as it loads;
+    # a generated one once for the commands that hold it whole, and never
+    # for search and experiment, which stream its members.
+    builds = []
+    real_init = Family.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Family, "__init__", counting_init)
+    argv = ["--input", family_file] if source == "input" else ["--grid", "3", "--samples", "2"]
+    assert main([command, *argv]) in (EXIT_OK, EXIT_VIOLATION)
+    assert capsys.readouterr().err == ""
+    streamed = source == "generated" and command in ("search", "experiment")
+    assert len(builds) == (0 if streamed else 1)
 
 
 def test_exhaustive_answers_a_small_multiset_of_large_values(capsys, tmp_path):
@@ -794,16 +840,19 @@ def test_generated_members_pass_the_checks_they_skip(built, p, **universe_flags)
     cfg = jumpfree.cli.RunConfig("gen", **universe_flags)
     spec = cfg.universe_spec()
     universe = build_universe(spec) if built and p is None else None
-    members, k, _ = jumpfree.cli._load_members(cfg, universe, p)
     checked = iter_family(cfg.family, iter_universe(spec, p))
     try:
+        # With p unset the loader builds the whole Family, so it refuses an
+        # empty universe itself; given p, the stream refuses it when drained.
+        family, _ = jumpfree.cli._load_family(cfg, universe, p)
+        members = family if p is not None else family.members
         pairs = list(zip(members, checked, strict=True))
     except ValueError as refusal:
         assert str(refusal) == "cannot generate a family over an empty universe"
         return
     for m, want in pairs:
         if not isinstance(m, int):
-            assert type(m) is FiniteFunction and m.k == k
+            assert type(m) is FiniteFunction and m.k == spec.k
             assert m == FiniteFunction(m.id, m.k, m.entries) == want
         else:
             assert m == want
@@ -1142,6 +1191,18 @@ def test_missing_cube_point_exits_1_naming_the_first_in_lexicographic_order(
     assert captured.err == (
         "jumpfree: error: cube power not contained in domain of f: missing (2, 5)\n"
     )
+
+
+@pytest.mark.parametrize("command", ["check-rr", "sets"])
+def test_cube_of_another_arity_exits_1(capsys, tmp_path, command):
+    doc = _function_cube_doc([2, 2, 2, 3])
+    doc["cube"]["k"] = 3
+    path = tmp_path / "arity.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jumpfree: error: cube arity 3 does not match function arity 2\n"
 
 
 # Leaves of every JSON type, ints on both sides of every guard.

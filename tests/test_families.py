@@ -331,8 +331,12 @@ def test_streamed_search_matches_search_over_whole_family(
         with pytest.raises(ValueError, match="empty universe"):
             find_regressively_regular_witness(stream, p, k)
         return
-    whole = find_regressively_regular_witness(gen_family(kind, universe).members, p, k)
+    fam = gen_family(kind, universe)
+    whole = find_regressively_regular_witness(fam.members, p, k)
     assert find_regressively_regular_witness(stream, p, k) == whole
+    # A Family is searched at its own arity, k given or not.
+    assert find_regressively_regular_witness(fam, p, fam.k) == whole
+    assert find_regressively_regular_witness(fam, p) == whole
 
 
 @dataclass(frozen=True)
